@@ -1,81 +1,80 @@
-// protocol: a message-level walkthrough of sharing-list persistency (§IV).
+// protocol: a node-by-node walkthrough of sharing-list persistency (§IV).
 //
-// This example drives the SLICC-style finite-state-machine implementation
-// of the SLC protocol directly, printing the sharing list and per-cache
-// states as three writers of one cacheline queue up, get invalidated
-// non-destructively, and then persist strictly tail-to-head as the clear
-// token passes up the list.
+// This example drives the sharing list the simulated machine runs
+// (internal/coherence/slc) directly, printing it as three writers of one
+// cacheline queue up and are invalidated non-destructively, and then
+// persist strictly tail-to-head as the clear token passes up the list.
 package main
 
 import (
 	"fmt"
 
-	"repro/internal/coherence/slcfsm"
+	"repro/internal/coherence/slc"
 	"repro/internal/mem"
-	"repro/internal/sim"
 )
 
-func show(s *slcfsm.System, l mem.Line, what string) {
-	fmt.Printf("  %-34s list(head→tail):", what)
-	lst := s.ListOf(l)
-	if len(lst) == 0 {
-		fmt.Printf(" <empty>")
+// state names a node's protocol state: D (valid dirty), PI (invalid,
+// pending persist), V (clean valid sharer; clean invalid nodes are swept).
+func state(n *slc.Node) string {
+	switch {
+	case n.Dirty && n.Valid:
+		return "D"
+	case n.Dirty:
+		return "PI"
 	}
-	for _, c := range lst {
-		fmt.Printf("  cache%d[%v %v]", c, s.StateOf(c, l), s.VersionAt(c, l))
+	return "V"
+}
+
+func show(l *slc.List, what string) {
+	fmt.Printf("  %-34s list(head→tail):", what)
+	for n := l.Head(); n != nil; n = n.Next() {
+		fmt.Printf("  cache%d[%s %v]", n.Cache, state(n), n.Version)
+	}
+	fmt.Println()
+}
+
+// persist retires a clear dirty node into NVM and shows which nodes the
+// clear token reached.
+func persist(l *slc.List, n *slc.Node) {
+	up := l.MarkPersisted(n)
+	fmt.Printf("  >> cache%d persisted %v to NVM", n.Cache, n.Version)
+	for _, c := range up.NewlyClear {
+		fmt.Printf("; now clear: cache%d", c.Cache)
 	}
 	fmt.Println()
 }
 
 func main() {
-	engine := sim.NewEngine()
-	s := slcfsm.New(engine, 4)
-	l := mem.Line(0x40)
+	l := slc.NewList(mem.Line(0x40))
+	fmt.Println("Sharing-list persistency, node by node (§IV)")
 
-	s.OnPersist = func(c int, _ mem.Line, v mem.Version) {
-		fmt.Printf("  >> cache%d persisted %v to NVM\n", c, v)
-	}
-
-	fmt.Println("Sharing-list persistency, message by message (§IV)")
-
-	// Three writers queue up on one line.
-	for c := 0; c < 3; c++ {
-		s.Write(c, l, mem.Version{Core: c, Seq: 1}, nil)
-		engine.Run()
-		show(s, l, fmt.Sprintf("after cache%d writes v%d:", c, c))
+	// Three writers queue up on one line: each joins at the head and
+	// invalidates the older copies without unlinking them.
+	var w [3]*slc.Node
+	for c := range w {
+		for _, old := range l.ValidNodes() {
+			l.Invalidate(old)
+		}
+		w[c] = l.AddHead(c, true, true, mem.Version{Core: c, Seq: 1}, 0)
+		show(l, fmt.Sprintf("after cache%d writes v%d:", c, c))
 	}
 	fmt.Println("\n  Non-destructive invalidation: the two older versions stay")
 	fmt.Println("  on the list in PI (invalid dirty), awaiting ordered persist.")
 
-	// Try to persist out of order: the middle version must wait.
-	fmt.Println("\n  Request persist of the MIDDLE version (cache1):")
-	s.Persist(1, l)
-	engine.Run()
-	show(s, l, "nothing happened (not clear):")
+	fmt.Printf("\n  MIDDLE version (cache1) clear to persist? %v: cache0 is below it.\n", w[1].Clear())
 
-	fmt.Println("\n  Request persist of the OLDEST version (cache0):")
-	s.Persist(0, l)
-	engine.Run()
-	show(s, l, "token passed, both persisted:")
+	fmt.Println("\n  Persist the OLDEST version (cache0), then follow the token:")
+	persist(l, w[0])
+	persist(l, w[1])
+	show(l, "after tail-to-head persists:")
 
 	fmt.Println("\n  Persist the head (cache2): it persists in place and stays")
 	fmt.Println("  on the list as a clean valid sharer.")
-	s.Persist(2, l)
-	engine.Run()
-	show(s, l, "after head persist:")
+	persist(l, w[2])
+	show(l, "after head persist:")
 
-	// A reader joins; then a fourth writer invalidates the clean run.
-	s.Read(3, l, func(v mem.Version) {
-		fmt.Printf("\n  cache3 read observes %v (forwarded from the head)\n", v)
-	})
-	engine.Run()
-	show(s, l, "after cache3 reads:")
-
-	if err := s.CheckInvariants(); err != nil {
-		fmt.Println("INVARIANT VIOLATION:", err)
-		return
+	if err := l.CheckInvariants(); err != nil {
+		panic(err)
 	}
-	fmt.Printf("\n  protocol activity: %d messages, %d transitions, %d distinct (state,event) pairs\n",
-		s.Messages, s.Transitions, len(s.TransitionKinds))
-	fmt.Printf("  NVM now holds %v — the last write, reached strictly in order.\n", s.MemoryVersion(l))
+	fmt.Printf("\n  NVM now holds %v — the last write, reached strictly in order.\n", w[2].Version)
 }

@@ -1,7 +1,8 @@
-// Package coherence holds protocol-neutral definitions shared by the MESI
-// baseline and the SLC sharing-list protocol, plus the protocol-complexity
-// accounting the paper reports in §V ("System configuration"): the SLICC
-// implementation of SLC vs. the stock MOESI_CMP_directory protocol.
+// Package coherence holds the protocol-complexity accounting the paper
+// reports in §V ("System configuration"): cited SLICC counts for its SLC
+// implementation vs. the stock MOESI_CMP_directory protocol, plus the same
+// accounting for the Tardis backend. The protocol structures themselves
+// live in the subpackages slc (the sharing list) and tardis (timestamps).
 package coherence
 
 // Complexity summarizes a protocol's controller complexity in SLICC terms.

@@ -9,10 +9,9 @@ import (
 
 // EncodeState writes the timestamp state deterministically: per-cache
 // program timestamps in cache order, then every line in address order with
-// its wts/rts, per-cache lease ends, and pending writes oldest-first. Slab
-// internals are excluded — they are allocation machinery, not logical
-// state. The stats counters live in the machine's registry and are encoded
-// there.
+// its wts/rts and per-cache lease ends. Slab internals are excluded — they
+// are allocation machinery, not logical state. The stats counters live in
+// the machine's registry and are encoded there.
 func (s *State) EncodeState(w *ckpt.Writer) {
 	w.U64(s.lease)
 	w.U32(uint32(len(s.pts)))
@@ -32,13 +31,6 @@ func (s *State) EncodeState(w *ckpt.Writer) {
 		w.U64(m.rts)
 		for _, end := range m.leases {
 			w.U64(end)
-		}
-		w.U32(uint32(len(m.pending)))
-		for _, p := range m.pending {
-			w.U64(p.wts)
-			w.Int(p.ver.Core)
-			w.U64(p.ver.Seq)
-			w.U64(p.agid)
 		}
 	}
 }

@@ -4,22 +4,13 @@
 // and read timestamps, lease-based reads, and logical-time bumping on
 // exclusive acquisition, with no invalidation traffic at all.
 //
-// The machine keeps its directory-serialized version bookkeeping (the
-// sharing list remains the multiversioned retention structure every
-// persistency system consumes); this package layers the logical-time
-// protocol state on top and answers two kinds of questions:
-//
-//   - timing: whether a private-cache hit must renew an expired lease at
-//     the home bank (the cost Tardis pays instead of invalidation walks);
-//   - persist ordering: which unpersisted write timestamps a line still
-//     carries, so atomic-group clearance and persist-before edges derive
-//     from timestamp order rather than sharing-list token passing.
-//
-// Because every operation mutates state only at the machine's
-// directory-serialization instant, the timestamp order of a line's writes
-// is identical to its sharing-list order; the tests in the machine package
-// assert that the two derivations agree on every clearance and dependency
-// query.
+// Tardis replaces invalidation with timestamps; it does not change persist
+// order, which still follows coherence order. The machine keeps its
+// directory-serialized sharing list as the one structure every persistency
+// system consumes for persist ordering, and this package carries only the
+// timing-side state on top: whether a private-cache hit must renew an
+// expired lease at the home bank (the cost Tardis pays instead of
+// invalidation walks), and the logical-time bookkeeping behind it.
 package tardis
 
 import (
@@ -49,24 +40,12 @@ func (c Config) lease() uint64 {
 	return c.Lease
 }
 
-// pendingWrite is one unpersisted write of a line: its write timestamp,
-// the version it installed, and the atomic group it was tagged with.
-// A line's pending writes are kept in ascending wts order — the persist
-// order the timestamp protocol mandates.
-type pendingWrite struct {
-	wts  uint64
-	ver  mem.Version
-	agid uint64
-}
-
 // lineMeta is the directory's timestamp view of one line.
 type lineMeta struct {
 	wts, rts uint64
 	// leases[c] is the lease end (an rts value) granted to cache c; a copy
 	// is readable without a directory round trip while pts[c] <= leases[c].
 	leases []uint64
-	// pending lists the line's unpersisted writes in ascending wts order.
-	pending []pendingWrite
 }
 
 // State is the full timestamp-coherence state: per-cache program
@@ -129,9 +108,6 @@ func (s *State) RTS(l mem.Line) uint64 {
 	return 0
 }
 
-// Lines returns the number of lines with timestamp metadata.
-func (s *State) Lines() int { return len(s.lines) }
-
 func (s *State) meta(l mem.Line) *lineMeta {
 	m, ok := s.lines[l]
 	if !ok {
@@ -187,18 +163,30 @@ func (s *State) Renew(c int, l mem.Line) {
 	s.Read(c, l)
 }
 
-// Write records an exclusive acquisition by cache c installing version v:
-// logical time jumps past both the line's lease frontier and its previous
-// write (wts' = max(pts, rts+1, wts+1)), which is what makes invalidation
-// traffic unnecessary — expired leases simply stop being live. The new
-// version joins the line's pending-persist list; the writer implicitly
-// holds a lease on its own copy.
-func (s *State) Write(c int, l mem.Line, v mem.Version) {
+// Write records an exclusive acquisition by cache c: logical time jumps
+// past both the line's lease frontier and its previous write (wts' =
+// max(pts, rts+1, wts+1)), which is what makes invalidation traffic
+// unnecessary — expired leases simply stop being live. The writer
+// implicitly holds a lease on its own copy.
+func (s *State) Write(c int, l mem.Line) {
+	if s.acquire(c, l) {
+		s.tsJumps.Inc()
+	}
+}
+
+// Coalesce records a write hit on cache c's own dirty copy: the line's
+// timestamps advance exactly as for Write, but the copy stays exclusive, so
+// the bump is not counted as a ts_jump.
+func (s *State) Coalesce(c int, l mem.Line) { s.acquire(c, l) }
+
+// acquire installs cache c's new write timestamp on l and reports whether
+// it had to jump past the line's lease frontier.
+func (s *State) acquire(c int, l mem.Line) (jumped bool) {
 	m := s.meta(l)
 	w := s.pts[c]
 	if m.rts+1 > w {
 		w = m.rts + 1
-		s.tsJumps.Inc()
+		jumped = true
 	}
 	if m.wts+1 > w {
 		w = m.wts + 1
@@ -207,163 +195,15 @@ func (s *State) Write(c int, l mem.Line, v mem.Version) {
 	m.wts = w
 	m.rts = w
 	m.leases[c] = w
-	m.pending = append(m.pending, pendingWrite{wts: w, ver: v})
+	return jumped
 }
 
-// Coalesce records a write hit on cache c's own dirty copy: the newest
-// pending write of the line is replaced in place with the new version at a
-// bumped timestamp (the copy stays exclusive, so ordering is unchanged).
-func (s *State) Coalesce(c int, l mem.Line, v mem.Version) {
-	m := s.lines[l]
-	if m == nil || len(m.pending) == 0 {
-		panic(fmt.Sprintf("tardis: coalesce on %v with no pending write", l))
-	}
-	w := s.pts[c]
-	if m.rts+1 > w {
-		w = m.rts + 1
-	}
-	if m.wts+1 > w {
-		w = m.wts + 1
-	}
-	s.pts[c] = w
-	m.wts = w
-	m.rts = w
-	m.leases[c] = w
-	p := &m.pending[len(m.pending)-1]
-	p.wts = w
-	p.ver = v
-}
-
-// TagAG associates the newest pending write (which must be version v, the
-// one just recorded by Write or Coalesce) with atomic group agid.
-func (s *State) TagAG(l mem.Line, v mem.Version, agid uint64) {
-	m := s.lines[l]
-	if m == nil || len(m.pending) == 0 {
-		panic(fmt.Sprintf("tardis: TagAG on %v with no pending write", l))
-	}
-	p := &m.pending[len(m.pending)-1]
-	if p.ver != v {
-		panic(fmt.Sprintf("tardis: TagAG version %v is not the newest pending write %v of %v", v, p.ver, l))
-	}
-	p.agid = agid
-}
-
-// StoreClear reports whether version v — the line's newest pending write —
-// is already clear for persist: true iff it is also the oldest, i.e. no
-// earlier write timestamp of the line is still unpersisted. This is the
-// timestamp derivation of the sharing list's "no dirty node below".
-func (s *State) StoreClear(l mem.Line, v mem.Version) bool {
-	m := s.lines[l]
-	if m == nil || len(m.pending) == 0 {
-		panic(fmt.Sprintf("tardis: StoreClear on %v with no pending write", l))
-	}
-	if m.pending[len(m.pending)-1].ver != v {
-		panic(fmt.Sprintf("tardis: StoreClear version %v is not the newest pending write of %v", v, l))
-	}
-	return len(m.pending) == 1
-}
-
-// ReadClear reports whether a fresh reader of the line is clear: true iff
-// the line has no unpersisted writes at all.
-func (s *State) ReadClear(l mem.Line) bool {
-	m := s.lines[l]
-	return m == nil || len(m.pending) == 0
-}
-
-// PrevPendingAG returns the atomic group of the pending write immediately
-// before version v in timestamp order (0 if v is the oldest). v must be
-// the newest pending write — the query is asked at v's own directory
-// instant to derive its persist-before edge.
-func (s *State) PrevPendingAG(l mem.Line, v mem.Version) uint64 {
-	m := s.lines[l]
-	if m == nil || len(m.pending) == 0 {
-		panic(fmt.Sprintf("tardis: PrevPendingAG on %v with no pending write", l))
-	}
-	n := len(m.pending)
-	if m.pending[n-1].ver != v {
-		panic(fmt.Sprintf("tardis: PrevPendingAG version %v is not the newest pending write of %v", v, l))
-	}
-	if n < 2 {
-		return 0
-	}
-	return m.pending[n-2].agid
-}
-
-// NewestPendingAG returns the atomic group of the line's newest pending
-// write (0 if none) — the producer a fresh reader observes.
-func (s *State) NewestPendingAG(l mem.Line) uint64 {
-	m := s.lines[l]
-	if m == nil || len(m.pending) == 0 {
-		return 0
-	}
-	return m.pending[len(m.pending)-1].agid
-}
-
-// Persisted retires version v of line l into the persistent domain. The
-// timestamp protocol mandates persists in ascending wts order per line, so
-// v must be the oldest pending write; anything else is a protocol bug.
-func (s *State) Persisted(l mem.Line, v mem.Version) {
-	m := s.lines[l]
-	if m == nil || len(m.pending) == 0 {
-		panic(fmt.Sprintf("tardis: persist of %v on %v with no pending write", v, l))
-	}
-	if m.pending[0].ver != v {
-		panic(fmt.Sprintf("tardis: persist of %v on %v out of timestamp order (oldest pending is %v)",
-			v, l, m.pending[0].ver))
-	}
-	m.pending = m.pending[1:]
-}
-
-// Discard retires version v of line l without persisting it — a
-// destructive invalidation or eviction under a conventional-retention
-// system dropped the dirty copy. Unlike Persisted it accepts any position.
-func (s *State) Discard(l mem.Line, v mem.Version) {
-	m := s.lines[l]
-	if m == nil {
-		return
-	}
-	for i := range m.pending {
-		if m.pending[i].ver == v {
-			m.pending = append(m.pending[:i], m.pending[i+1:]...)
-			return
-		}
-	}
-}
-
-// PendingLen returns the number of unpersisted writes of a line.
-func (s *State) PendingLen(l mem.Line) int {
-	if m := s.lines[l]; m != nil {
-		return len(m.pending)
-	}
-	return 0
-}
-
-// TotalPending returns the number of unpersisted writes across all lines.
-func (s *State) TotalPending() int {
-	n := 0
-	for _, m := range s.lines {
-		n += len(m.pending)
-	}
-	return n
-}
-
-// CheckInvariants verifies the timestamp invariants of every line: wts <=
-// rts, pending writes in strictly ascending wts order, and every pending
-// wts <= the line's wts.
+// CheckInvariants verifies the timestamp invariant of every line: wts <=
+// rts.
 func (s *State) CheckInvariants() error {
 	for l, m := range s.lines {
 		if m.wts > m.rts {
 			return fmt.Errorf("tardis %v: wts %d > rts %d", l, m.wts, m.rts)
-		}
-		prev := uint64(0)
-		for i, p := range m.pending {
-			if p.wts <= prev && i > 0 {
-				return fmt.Errorf("tardis %v: pending wts %d not ascending (prev %d)", l, p.wts, prev)
-			}
-			if p.wts > m.wts {
-				return fmt.Errorf("tardis %v: pending wts %d beyond line wts %d", l, p.wts, m.wts)
-			}
-			prev = p.wts
 		}
 	}
 	return nil

@@ -14,8 +14,6 @@ func newState(t *testing.T, caches int) *State {
 	return New(Config{Caches: caches}, stats.NewSet())
 }
 
-func ver(core int, seq uint64) mem.Version { return mem.Version{Core: core, Seq: seq} }
-
 func TestWriteBumpsLogicalTimePastLease(t *testing.T) {
 	s := newState(t, 2)
 	l := mem.Line(7)
@@ -31,7 +29,7 @@ func TestWriteBumpsLogicalTimePastLease(t *testing.T) {
 
 	// Cache 1 writes: wts jumps past the lease end — no invalidation
 	// message, the lease is simply no longer live at the new time.
-	s.Write(1, l, ver(1, 1))
+	s.Write(1, l)
 	if got, want := s.WTS(l), uint64(DefaultLease+1); got != want {
 		t.Fatalf("wts after write = %d, want %d", got, want)
 	}
@@ -53,9 +51,8 @@ func TestLeaseExpiryForcesRenewal(t *testing.T) {
 
 	s.Read(0, a) // lease on a to 10
 	// Cache 0's pts advances by writing b repeatedly past a's lease end.
-	for i := uint64(1); i <= DefaultLease+2; i++ {
-		s.Write(0, b, ver(0, i))
-		s.Persisted(b, ver(0, i))
+	for i := 0; i < DefaultLease+2; i++ {
+		s.Write(0, b)
 	}
 	if s.PTS(0) <= DefaultLease {
 		t.Fatalf("pts = %d, expected to have advanced past %d", s.PTS(0), DefaultLease)
@@ -69,84 +66,62 @@ func TestLeaseExpiryForcesRenewal(t *testing.T) {
 	}
 }
 
-func TestPendingPersistOrder(t *testing.T) {
-	s := newState(t, 2)
-	l := mem.Line(3)
+// TestWriteCountsTSJumps: an exclusive acquisition counts a ts_jump when
+// the writer's program timestamp has to jump past the line's lease
+// frontier, and none when it is already beyond it.
+func TestWriteCountsTSJumps(t *testing.T) {
+	set := stats.NewSet()
+	s := New(Config{Caches: 2}, set)
+	l, fresh := mem.Line(3), mem.Line(4)
+	jumps := set.Counter("tardis.ts_jumps")
 
-	s.Write(0, l, ver(0, 1))
-	if !s.StoreClear(l, ver(0, 1)) {
-		t.Fatal("first pending write must be clear")
+	s.Read(1, l) // lease frontier at DefaultLease
+	s.Write(0, l)
+	if jumps.Value != 1 {
+		t.Fatalf("ts_jumps after a write past a lease = %d, want 1", jumps.Value)
 	}
-	s.TagAG(l, ver(0, 1), 11)
-
-	s.Write(1, l, ver(1, 1))
-	if s.StoreClear(l, ver(1, 1)) {
-		t.Fatal("second pending write must not be clear")
+	if got, want := s.WTS(l), uint64(DefaultLease+1); got != want {
+		t.Fatalf("wts = %d, want %d", got, want)
 	}
-	if got := s.PrevPendingAG(l, ver(1, 1)); got != 11 {
-		t.Fatalf("PrevPendingAG = %d, want 11", got)
+	s.Write(0, fresh) // pts is already past fresh's (zero) frontier
+	if jumps.Value != 1 {
+		t.Fatalf("ts_jumps after a write with pts ahead = %d, want 1", jumps.Value)
 	}
-	s.TagAG(l, ver(1, 1), 22)
-	if got := s.NewestPendingAG(l); got != 22 {
-		t.Fatalf("NewestPendingAG = %d, want 22", got)
-	}
-	if s.ReadClear(l) {
-		t.Fatal("line with pending writes must not be read-clear")
-	}
-
-	// Persists must retire in timestamp order: the newer version first
-	// is a protocol violation.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("out-of-order persist did not panic")
-			}
-		}()
-		s.Persisted(l, ver(1, 1))
-	}()
-
-	s.Persisted(l, ver(0, 1))
-	s.Persisted(l, ver(1, 1))
-	if !s.ReadClear(l) {
-		t.Fatal("fully persisted line must be read-clear")
+	if got := s.WTS(fresh); got != DefaultLease+1 {
+		t.Fatalf("wts of fresh line = %d, want the writer's pts %d", got, DefaultLease+1)
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestCoalesceReplacesNewestPending(t *testing.T) {
-	s := newState(t, 1)
+// TestCoalesceBumpsPastLeaseFrontier: a coalescing write hit needs no prior
+// state on the line, advances wts/rts past the lease frontier like Write,
+// and is not counted as a ts_jump.
+func TestCoalesceBumpsPastLeaseFrontier(t *testing.T) {
+	set := stats.NewSet()
+	s := New(Config{Caches: 2}, set)
 	l := mem.Line(9)
-	s.Write(0, l, ver(0, 1))
-	w1 := s.WTS(l)
-	s.Coalesce(0, l, ver(0, 2))
-	if s.WTS(l) <= w1 {
-		t.Fatalf("coalesce must bump wts: %d -> %d", w1, s.WTS(l))
-	}
-	if s.PendingLen(l) != 1 {
-		t.Fatalf("coalesce must keep one pending write, got %d", s.PendingLen(l))
-	}
-	// Only the coalesced version is retirable.
-	s.Persisted(l, ver(0, 2))
-	if s.PendingLen(l) != 0 {
-		t.Fatal("pending write not retired")
-	}
-}
 
-func TestDiscardRemovesAnyPosition(t *testing.T) {
-	s := newState(t, 3)
-	l := mem.Line(4)
-	s.Write(0, l, ver(0, 1))
-	s.Write(1, l, ver(1, 1))
-	s.Write(2, l, ver(2, 1))
-	s.Discard(l, ver(1, 1)) // middle
-	if s.PendingLen(l) != 2 {
-		t.Fatalf("pending after middle discard = %d, want 2", s.PendingLen(l))
+	s.Coalesce(0, l) // first touch of the line: no panic, wts 0 -> 1
+	if got := s.WTS(l); got != 1 {
+		t.Fatalf("wts after coalesce on a fresh line = %d, want 1", got)
 	}
-	s.Persisted(l, ver(0, 1))
-	s.Persisted(l, ver(2, 1))
-	s.Discard(l, ver(9, 9)) // absent: no-op
+	s.Read(1, l) // lease frontier to 1+DefaultLease
+	frontier := s.RTS(l)
+	s.Coalesce(0, l)
+	if got, want := s.WTS(l), frontier+1; got != want {
+		t.Fatalf("wts after coalesce = %d, want %d (past the lease frontier)", got, want)
+	}
+	if s.RTS(l) != s.WTS(l) || s.PTS(0) != s.WTS(l) {
+		t.Fatalf("coalesce left rts %d / pts %d behind wts %d", s.RTS(l), s.PTS(0), s.WTS(l))
+	}
+	if s.NeedsRenewal(0, l) {
+		t.Fatal("coalescer's own copy should not need renewal")
+	}
+	if n := set.Counter("tardis.ts_jumps").Value; n != 0 {
+		t.Fatalf("coalesce counted %d ts_jumps, want 0", n)
+	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -160,9 +135,8 @@ func TestStatsCounters(t *testing.T) {
 	if s.NeedsRenewal(0, l) {
 		t.Fatal("live lease misreported")
 	}
-	for i := uint64(1); i <= 6; i++ {
-		s.Write(0, other, ver(0, i))
-		s.Persisted(other, ver(0, i))
+	for i := 0; i < 6; i++ {
+		s.Write(0, other)
 	}
 	if !s.NeedsRenewal(0, l) {
 		t.Fatal("expired lease misreported")
@@ -180,28 +154,33 @@ func TestStatsCounters(t *testing.T) {
 }
 
 // TestEncodeStateDeterministic pins that two identical operation sequences
-// serialize byte-identically and that any state difference changes the
-// bytes.
+// serialize byte-identically and that a differing lease or timestamp state
+// changes the bytes.
 func TestEncodeStateDeterministic(t *testing.T) {
-	build := func(extra bool) []byte {
+	build := func(variant int) []byte {
 		s := newState(t, 2)
 		s.Read(0, mem.Line(5))
-		s.Write(1, mem.Line(5), ver(1, 1))
-		s.TagAG(mem.Line(5), ver(1, 1), 3)
-		s.Write(0, mem.Line(9), ver(0, 1))
-		if extra {
-			s.Persisted(mem.Line(9), ver(0, 1))
+		s.Write(1, mem.Line(5))
+		s.Write(0, mem.Line(9))
+		switch variant {
+		case 1: // a lease differs
+			s.Read(1, mem.Line(9))
+		case 2: // a timestamp differs
+			s.Coalesce(0, mem.Line(9))
 		}
 		w := &ckpt.Writer{}
-		w.Section("tardis")
+		w.Section("tardis.ts")
 		s.EncodeState(w)
 		return w.State()
 	}
-	a, b := build(false), build(false)
+	a, b := build(0), build(0)
 	if !bytes.Equal(a, b) {
 		t.Fatal("identical states serialized differently")
 	}
-	if bytes.Equal(a, build(true)) {
-		t.Fatal("differing states serialized identically")
+	if bytes.Equal(a, build(1)) {
+		t.Fatal("differing lease states serialized identically")
+	}
+	if bytes.Equal(a, build(2)) {
+		t.Fatal("differing timestamp states serialized identically")
 	}
 }

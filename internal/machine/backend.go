@@ -1,160 +1,39 @@
 package machine
 
 import (
-	"repro/internal/ckpt"
-	"repro/internal/coherence/slc"
-	"repro/internal/coherence/tardis"
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
-// cohBackend is the coherence-protocol seam: everything the machine needs
-// from a protocol beyond the directory-serialized version bookkeeping it
-// owns itself. A backend supplies (a) the timing discipline of write-
-// permission acquisition and private hits, and (b) the persist-ordering
-// metadata the strict systems consume — line clearance, persist-before
-// edge sources, and version retirement. The sharing list stays the
-// universal retention structure (the persistency systems and the crash
-// checker are built on it); a backend may answer the ordering queries from
-// its own state instead of the list, and the SLC/tardis agreement on every
-// such answer is pinned by TestTardisAgreesWithSharingList.
+// The coherence backends (Config.Coherence) differ only in timing. Persist
+// ordering is the same question under every backend — "which older version
+// of this line must persist first?" — and the sharing list answers it:
+// directory serialization makes coherence order, list order and (under
+// tardis) write-timestamp order one and the same. What varies is:
 //
-// Every hook runs at a directory-serialization instant (or, for
-// needsRenewal, at a private-hit instant), so backends never see protocol
-// races — matching the single point of serialization the real directory
-// provides.
-type cohBackend interface {
-	// invalDelay is the extra delay a write's invalidation round imposes
-	// for nInval remote valid copies: SLC walks the list serially, MESI
-	// multicasts in parallel, tardis sends nothing at all.
-	invalDelay(nInval int) sim.Time
-	// needsRenewal reports whether a private-cache hit on node n must
-	// renew an expired lease at the home bank before it can be served
-	// (always false outside tardis).
-	needsRenewal(c int, line mem.Line, n *slc.Node) bool
-	// renewed runs at the directory instant of a lease renewal.
-	renewed(c int, line mem.Line)
-	// dirRead runs at the directory instant of a read miss/fill.
-	dirRead(c int, line mem.Line)
-	// dirWrite runs at the directory instant of an exclusive acquisition
-	// (full miss or upgrade) that installed node n's new version.
-	dirWrite(c int, n *slc.Node)
-	// coalesced runs when a store hit cache c's own dirty copy and
-	// replaced its version in place.
-	coalesced(c int, n *slc.Node)
-	// storeClear reports whether just-committed store node n is already
-	// clear for persist (no older unpersisted version of its line).
-	storeClear(n *slc.Node) bool
-	// readClear reports whether just-added reader node n is clear (its
-	// line has no unpersisted versions).
-	readClear(n *slc.Node) bool
-	// persistPredAG returns the atomic group that is the persist-before
-	// edge source for store node n; prevDirty is the line's newest valid
-	// dirty predecessor (never nil when called).
-	persistPredAG(n *slc.Node, prevDirty *slc.Node) uint64
-	// producerAG returns the atomic group of the dirty producer a fresh
-	// reader observed.
-	producerAG(producer *slc.Node) uint64
-	// tagAG runs after the system assigned node n its atomic group.
-	tagAG(n *slc.Node)
-	// persisted runs when node n's version enters the persistent domain
-	// in persist order (the AGB buffered it).
-	persisted(n *slc.Node)
-	// discarded runs when a dirty node leaves coherence without
-	// persisting (destructive invalidation or eviction).
-	discarded(n *slc.Node)
-	// encodeState serializes backend state into a checkpoint section
-	// (no-op for the stateless backends).
-	encodeState(w *ckpt.Writer)
-}
+//   - the invalidation round a write pays (invalDelay below);
+//   - under tardis, lease renewals on expired private hits (renewTxn) and
+//     the timestamp bookkeeping at each directory instant, made as direct
+//     calls on m.tardis where the machine reaches those instants.
 
-// newCohBackend instantiates the configured backend.
-func (m *Machine) newCohBackend() cohBackend {
+// invalDelay is the extra delay a write's invalidation round imposes for n
+// remote valid copies: SLC walks the sharing list serially (one hop per
+// copy), a MESI bit-vector directory multicasts in parallel (one hop
+// regardless of count), tardis sends nothing (logical time jumps past the
+// lease frontier instead).
+func (m *Machine) invalDelay(n int) sim.Time {
 	switch m.cfg.Coherence {
 	case CoherenceMESI:
-		return &mesiBackend{hop: m.cfg.NoC.HopLatency}
+		if n > 0 {
+			return m.cfg.NoC.HopLatency
+		}
+		return 0
 	case CoherenceTardis:
-		m.tardis = tardis.New(tardis.Config{Caches: m.cfg.Cores, Lease: m.cfg.TardisLease}, m.set)
-		return &tardisBackend{ts: m.tardis}
+		return 0
 	default:
-		return &slcBackend{hop: m.cfg.NoC.HopLatency}
+		return sim.Time(n) * m.cfg.NoC.HopLatency
 	}
 }
-
-// slcBackend is the sharing-list protocol: serial invalidation walk,
-// persist ordering from the list itself.
-type slcBackend struct{ hop sim.Time }
-
-func (b *slcBackend) invalDelay(n int) sim.Time                 { return sim.Time(n) * b.hop }
-func (*slcBackend) needsRenewal(int, mem.Line, *slc.Node) bool  { return false }
-func (*slcBackend) renewed(int, mem.Line)                       {}
-func (*slcBackend) dirRead(int, mem.Line)                       {}
-func (*slcBackend) dirWrite(int, *slc.Node)                     {}
-func (*slcBackend) coalesced(int, *slc.Node)                    {}
-func (*slcBackend) storeClear(n *slc.Node) bool                 { return n.Clear() }
-func (*slcBackend) readClear(n *slc.Node) bool                  { return n.Clear() }
-func (*slcBackend) persistPredAG(_, prev *slc.Node) uint64      { return prev.AGID }
-func (*slcBackend) producerAG(p *slc.Node) uint64               { return p.AGID }
-func (*slcBackend) tagAG(*slc.Node)                             {}
-func (*slcBackend) persisted(*slc.Node)                         {}
-func (*slcBackend) discarded(*slc.Node)                         {}
-func (*slcBackend) encodeState(*ckpt.Writer)                    {}
-
-// mesiBackend is the conventional bit-vector directory: invalidations
-// multicast in parallel (one hop regardless of sharer count); persist
-// ordering still rides the retention list the system maintains.
-type mesiBackend struct{ hop sim.Time }
-
-func (b *mesiBackend) invalDelay(n int) sim.Time {
-	if n > 0 {
-		return b.hop
-	}
-	return 0
-}
-func (*mesiBackend) needsRenewal(int, mem.Line, *slc.Node) bool { return false }
-func (*mesiBackend) renewed(int, mem.Line)                      {}
-func (*mesiBackend) dirRead(int, mem.Line)                      {}
-func (*mesiBackend) dirWrite(int, *slc.Node)                    {}
-func (*mesiBackend) coalesced(int, *slc.Node)                   {}
-func (*mesiBackend) storeClear(n *slc.Node) bool                { return n.Clear() }
-func (*mesiBackend) readClear(n *slc.Node) bool                 { return n.Clear() }
-func (*mesiBackend) persistPredAG(_, prev *slc.Node) uint64     { return prev.AGID }
-func (*mesiBackend) producerAG(p *slc.Node) uint64              { return p.AGID }
-func (*mesiBackend) tagAG(*slc.Node)                            {}
-func (*mesiBackend) persisted(*slc.Node)                        {}
-func (*mesiBackend) discarded(*slc.Node)                        {}
-func (*mesiBackend) encodeState(*ckpt.Writer)                   {}
-
-// tardisBackend layers the Tardis timestamp protocol over the machine's
-// version bookkeeping: writes send no invalidations (logical time jumps
-// past the lease frontier instead), clean private hits pay a renewal round
-// trip once their lease expires, and every persist-ordering query is
-// answered from write-timestamp order.
-type tardisBackend struct{ ts *tardis.State }
-
-func (*tardisBackend) invalDelay(int) sim.Time { return 0 }
-
-func (b *tardisBackend) needsRenewal(c int, line mem.Line, n *slc.Node) bool {
-	if n.Dirty {
-		// The owner reads its exclusive copy freely (pts == wts).
-		return false
-	}
-	return b.ts.NeedsRenewal(c, line)
-}
-func (b *tardisBackend) renewed(c int, line mem.Line) { b.ts.Renew(c, line) }
-func (b *tardisBackend) dirRead(c int, line mem.Line) { b.ts.Read(c, line) }
-func (b *tardisBackend) dirWrite(c int, n *slc.Node)  { b.ts.Write(c, n.Line, n.Version) }
-func (b *tardisBackend) coalesced(c int, n *slc.Node) { b.ts.Coalesce(c, n.Line, n.Version) }
-func (b *tardisBackend) storeClear(n *slc.Node) bool  { return b.ts.StoreClear(n.Line, n.Version) }
-func (b *tardisBackend) readClear(n *slc.Node) bool   { return b.ts.ReadClear(n.Line) }
-func (b *tardisBackend) persistPredAG(n *slc.Node, _ *slc.Node) uint64 {
-	return b.ts.PrevPendingAG(n.Line, n.Version)
-}
-func (b *tardisBackend) producerAG(p *slc.Node) uint64 { return b.ts.NewestPendingAG(p.Line) }
-func (b *tardisBackend) tagAG(n *slc.Node)             { b.ts.TagAG(n.Line, n.Version, n.AGID) }
-func (b *tardisBackend) persisted(n *slc.Node)         { b.ts.Persisted(n.Line, n.Version) }
-func (b *tardisBackend) discarded(n *slc.Node)         { b.ts.Discard(n.Line, n.Version) }
-func (b *tardisBackend) encodeState(w *ckpt.Writer)    { b.ts.EncodeState(w) }
 
 // renewTxn is a core's Tardis lease renewal in flight: a round trip to the
 // home bank that re-extends the lease, with no data transfer and no list
@@ -191,7 +70,7 @@ func (t *renewTxn) start() {
 
 // dir is the directory-serialization instant of the renewal.
 func (t *renewTxn) dir() {
-	t.m.coh.renewed(t.c.id, t.line)
+	t.m.tardis.Renew(t.c.id, t.line)
 	arrive := t.m.net.Send(t.bnode, t.src, nil)
 	t.m.engine.At(arrive, t.backFn)
 }

@@ -175,10 +175,12 @@ func (m *Machine) encodeState() []byte {
 	m.dir.EncodeState(w)
 
 	// Timestamp-coherence state exists only under the tardis backend; gating
-	// the section keeps slc/mesi checkpoint blobs byte-identical to before.
+	// the section keeps slc/mesi blobs free of it. The name differs from the
+	// older "tardis" section, which also carried a pending-write ledger, so
+	// such a blob fails Restore with ErrDivergence naming the section.
 	if m.tardis != nil {
-		w.Section("tardis")
-		m.coh.encodeState(w)
+		w.Section("tardis.ts")
+		m.tardis.EncodeState(w)
 	}
 
 	w.Section("machine")

@@ -70,8 +70,9 @@ func Systems() []SystemKind {
 }
 
 // CoherenceKind selects the coherence protocol backend: the timing
-// discipline of write-permission acquisition and the source of the
-// persist-ordering metadata. Version retention (multiversioning) is
+// discipline of write-permission acquisition (and, under tardis, of lease
+// renewal). Persist ordering is answered by the sharing list under every
+// backend. Version retention (multiversioning) is
 // governed by the persistency system, not the backend, so every system
 // runs under every backend — that is what makes the protocol bake-off
 // (EXPERIMENTS.md) a like-for-like comparison.
@@ -79,8 +80,7 @@ type CoherenceKind int
 
 const (
 	// CoherenceSLC is the sharing-list protocol: invalidations walk the
-	// list serially, one hop per valid copy; persist ordering rides the
-	// list's token passing (§IV).
+	// list serially, one hop per valid copy (§IV).
 	CoherenceSLC CoherenceKind = iota
 	// CoherenceMESI models a conventional bit-vector directory: the
 	// directory multicasts invalidations in parallel (one hop regardless
@@ -91,8 +91,7 @@ const (
 	// CoherenceTardis is the Tardis timestamp protocol (PAPERS.md): no
 	// invalidation traffic at all — writes bump logical time past the
 	// lease frontier, and reads hold leases that private hits must renew
-	// once expired. Persist ordering derives from write-timestamp order
-	// (internal/coherence/tardis).
+	// once expired (internal/coherence/tardis).
 	CoherenceTardis
 )
 
@@ -279,7 +278,7 @@ func (c Config) Validate() error {
 	case CoherenceSLC, CoherenceMESI, CoherenceTardis:
 		// Every persistency system runs under every backend: version
 		// retention is the system's job (destructive()), the backend only
-		// supplies timing and persist-ordering metadata.
+		// supplies timing.
 	default:
 		return fmt.Errorf("machine: unknown coherence backend %v", c.Coherence)
 	}

@@ -34,10 +34,8 @@ type Machine struct {
 	priv  []*privCache
 	sys   system
 
-	// coh is the coherence-protocol backend (backend.go); tardis is non-nil
-	// only under CoherenceTardis (the backend's timestamp state, kept here
-	// for the checkpoint section).
-	coh    cohBackend
+	// tardis is the timestamp-coherence state, non-nil only under
+	// CoherenceTardis (backend.go).
 	tardis *tardis.State
 
 	// waiters are continuations blocked on "cache c's copy of line l is no
@@ -145,7 +143,9 @@ func New(cfg Config) (*Machine, error) {
 		})
 	}
 	m.evbufWaiters = make([][]func(), cfg.Cores)
-	m.coh = m.newCohBackend()
+	if cfg.Coherence == CoherenceTardis {
+		m.tardis = tardis.New(tardis.Config{Caches: cfg.Cores, Lease: cfg.TardisLease}, m.set)
+	}
 	m.instrumentComponents()
 	m.initFaults()
 	m.sys = newSystem(m)
@@ -406,12 +406,6 @@ func (m *Machine) releaseLine(cacheID int, line mem.Line) {
 // waiting-to-become-tail accounting).
 func (m *Machine) applyUpdate(up slc.Update) {
 	for _, n := range up.Removed {
-		if n.Dirty {
-			// Only destructive removals unlink a still-dirty node (ordered
-			// persists clean it first): its version leaves coherence without
-			// persisting, and the backend retires it from persist ordering.
-			m.coh.discarded(n)
-		}
 		m.dropFrame(n)
 		m.releaseLine(n.Cache, n.Line)
 		// A removed node is trivially clear for its cache's groups.

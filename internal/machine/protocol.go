@@ -34,11 +34,12 @@ func (m *Machine) load(c *coreUnit, line mem.Line, done func()) {
 		if pc := m.priv[c.id]; pc.arr.Peek(line) != nil {
 			pc.arr.Lookup(line) // LRU touch
 		}
-		if m.coh.needsRenewal(c.id, line, node) {
-			// Tardis lease expiry: the copy is valid but logically stale —
-			// a renewal round trip to the home bank re-extends the lease
-			// before the hit is served (the cost the timestamp protocol
-			// pays instead of invalidation traffic).
+		if m.tardis != nil && !node.Dirty && m.tardis.NeedsRenewal(c.id, line) {
+			// Tardis lease expiry: the clean copy is valid but logically
+			// stale — a renewal round trip to the home bank re-extends the
+			// lease before the hit is served (the cost the timestamp
+			// protocol pays instead of invalidation traffic). The owner
+			// reads its exclusive dirty copy freely (pts == wts).
 			t := c.rn
 			t.line, t.done = line, done
 			t.start()

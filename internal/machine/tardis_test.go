@@ -1,9 +1,13 @@
 package machine
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"strings"
 	"testing"
 
-	"repro/internal/coherence/slc"
+	"repro/internal/ckpt"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -12,79 +16,6 @@ func tardisConfig(system SystemKind) Config {
 	cfg := TableI(system)
 	cfg.Coherence = CoherenceTardis
 	return cfg
-}
-
-// agreementChecker wraps the tardis backend and cross-checks every
-// persist-ordering answer against the sharing list, which the machine still
-// maintains as the retention structure. Directory serialization makes
-// timestamp order identical to list order, so the two sources must agree on
-// every query; a disagreement means the timestamp layer would derive a
-// different persist order than SLC token passing.
-type agreementChecker struct {
-	cohBackend
-	t       *testing.T
-	queries int
-}
-
-func (a *agreementChecker) storeClear(n *slc.Node) bool {
-	a.queries++
-	got, want := a.cohBackend.storeClear(n), n.Clear()
-	if got != want {
-		a.t.Errorf("storeClear(%v %v): tardis %v, list %v", n.Line, n.Version, got, want)
-	}
-	return got
-}
-
-func (a *agreementChecker) readClear(n *slc.Node) bool {
-	a.queries++
-	got, want := a.cohBackend.readClear(n), n.Clear()
-	if got != want {
-		a.t.Errorf("readClear(%v): tardis %v, list %v", n.Line, got, want)
-	}
-	return got
-}
-
-func (a *agreementChecker) persistPredAG(n, prev *slc.Node) uint64 {
-	a.queries++
-	got, want := a.cohBackend.persistPredAG(n, prev), prev.AGID
-	if got != want {
-		a.t.Errorf("persistPredAG(%v %v): tardis AG %d, list AG %d", n.Line, n.Version, got, want)
-	}
-	return got
-}
-
-func (a *agreementChecker) producerAG(p *slc.Node) uint64 {
-	a.queries++
-	got, want := a.cohBackend.producerAG(p), p.AGID
-	if got != want {
-		a.t.Errorf("producerAG(%v): tardis AG %d, list AG %d", p.Line, got, want)
-	}
-	return got
-}
-
-// TestTardisAgreesWithSharingList pins the central invariant of the tardis
-// backend: every clearance and dependency answer derived from write
-// timestamps equals the answer the sharing list would give.
-func TestTardisAgreesWithSharingList(t *testing.T) {
-	for _, system := range []SystemKind{TSOPER, STW} {
-		t.Run(system.String(), func(t *testing.T) {
-			cfg := tardisConfig(system)
-			m, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			chk := &agreementChecker{cohBackend: m.coh, t: t}
-			m.coh = chk
-			w := trace.Generate(smallProfile(400), cfg.Cores, 17)
-			m.Run(w)
-			if chk.queries == 0 {
-				t.Fatal("no ordering queries exercised")
-			}
-			if err := m.tardis.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
 }
 
 func TestTardisAllSystemsComplete(t *testing.T) {
@@ -129,22 +60,6 @@ func TestTardisFinalDurableImageComplete(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestTardisPersistsAllPending: after a TSOPER end-of-run drain every write
-// timestamp must have retired from the pending ledger — a leftover entry
-// means a version entered coherence but never persisted or discarded.
-func TestTardisPersistsAllPending(t *testing.T) {
-	cfg := tardisConfig(TSOPER)
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := trace.Generate(smallProfile(300), cfg.Cores, 9)
-	m.Run(w)
-	if n := m.tardis.TotalPending(); n != 0 {
-		t.Fatalf("%d pending writes survived the drain", n)
 	}
 }
 
@@ -217,6 +132,47 @@ func TestTardisCheckpointRestoreMidExec(t *testing.T) {
 		t.Fatalf("resume: done=%v err=%v", done, err)
 	}
 	assertSameResults(t, want, r.Results())
+}
+
+// TestTardisRestoreRejectsLedgerSection: a tardis checkpoint whose
+// timestamp section carries the name of the retired pending-ledger format
+// ("tardis") must fail Restore with a typed divergence naming the section —
+// never a panic, never a silent restore.
+func TestTardisRestoreRejectsLedgerSection(t *testing.T) {
+	cfg := ckptConfig(TSOPER)
+	cfg.Coherence = CoherenceTardis
+	w := ckptWorkload(t, 11)
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Start(w)
+	if _, err := m.Advance(4000); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := m.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, state, err := ckpt.DecodeBlob(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := func(s string) []byte {
+		return append(binary.LittleEndian.AppendUint32(nil, uint32(len(s))), s...)
+	}
+	if !bytes.Contains(state, name("tardis.ts")) {
+		t.Fatal("tardis checkpoint has no tardis.ts section")
+	}
+	old := ckpt.EncodeBlob(h, bytes.Replace(state, name("tardis.ts"), name("tardis"), 1))
+
+	_, err = Restore(cfg, w, old)
+	if !errors.Is(err, ckpt.ErrDivergence) {
+		t.Fatalf("got %v, want ErrDivergence", err)
+	}
+	if !strings.Contains(err.Error(), `"tardis"`) {
+		t.Fatalf("divergence does not name the old section: %v", err)
+	}
 }
 
 // TestTardisLeaseKnobPlumbed: TardisLease must actually reach the protocol.

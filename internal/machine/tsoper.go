@@ -111,17 +111,13 @@ func (s *tsoperSys) storeCommitted(c *coreUnit, node *slc.Node, prevDirty *slc.N
 	g := s.groupFor(c.id, node.Line)
 	node.AGID = g.ID
 	if prevDirty != nil && prevDirty.AGID != 0 {
-		// The persist-before edge source: the backend derives it from its
-		// own ordering state (SLC/MESI read the predecessor node, tardis
-		// the pending write preceding this one in timestamp order).
-		if depID := s.m.coh.persistPredAG(node, prevDirty); depID != 0 {
-			if pg := s.groups[depID]; pg != nil {
-				g.DependOn(pg)
-			}
+		// The persist-before edge source: the line's newest unpersisted
+		// predecessor on the sharing list.
+		if pg := s.groups[prevDirty.AGID]; pg != nil {
+			g.DependOn(pg)
 		}
 	}
-	s.m.coh.tagAG(node)
-	g.AddStore(node.Line, node.Version, s.m.coh.storeClear(node))
+	g.AddStore(node.Line, node.Version, node.Clear())
 }
 
 func (s *tsoperSys) loadObservedDirty(c *coreUnit, readerNode, producer *slc.Node) {
@@ -130,12 +126,10 @@ func (s *tsoperSys) loadObservedDirty(c *coreUnit, readerNode, producer *slc.Nod
 	}
 	g := s.groupFor(c.id, readerNode.Line)
 	readerNode.AGID = g.ID
-	if pid := s.m.coh.producerAG(producer); pid != 0 {
-		if pg := s.groups[pid]; pg != nil {
-			g.DependOn(pg)
-		}
+	if pg := s.groups[producer.AGID]; pg != nil {
+		g.DependOn(pg)
 	}
-	g.AddCleanRead(readerNode.Line, producer.Version, s.m.coh.readClear(readerNode))
+	g.AddCleanRead(readerNode.Line, producer.Version, readerNode.Clear())
 }
 
 // exposed freezes the owning group of a dirty line touched by a remote
@@ -240,11 +234,6 @@ func (s *tsoperSys) startDrain(g *core.Group) {
 			// cacheline is buffered in the AGB it leaves the sharing list".
 			node := s.m.nodeOf(g.Core, l)
 			if node != nil && node.AGID == g.ID && node.Dirty {
-				// The backend retires the version from persist ordering —
-				// tardis asserts it is the line's oldest pending write
-				// timestamp, the timestamp-side twin of MarkPersisted's
-				// tail-to-head clearance panic.
-				s.m.coh.persisted(node)
 				up := s.m.dir.List(l).MarkPersisted(node)
 				s.m.applyUpdate(up)
 				node.AGID = 0

@@ -70,7 +70,9 @@ func (t *readTxn) dir() {
 	}
 	observed := m.current[line]
 	t.node = lst.AddHead(c.id, true, false, observed, 0)
-	m.coh.dirRead(c.id, line)
+	if m.tardis != nil {
+		m.tardis.Read(c.id, line)
+	}
 	if vd != nil {
 		// Read of an unpersisted version: include the line in the
 		// reader's group and record the dependency (§III-A).
@@ -170,7 +172,9 @@ func (t *writeTxn) attempt() {
 			m.priv[c.id].arr.Lookup(line)
 			m.dir.List(line).MarkDirty(node, t.ver)
 			m.recordStore(line, t.ver)
-			m.coh.coalesced(c.id, node)
+			if m.tardis != nil {
+				m.tardis.Coalesce(c.id, line)
+			}
 			m.sys.storeCommitted(c, node, nil)
 			m.engine.Schedule(m.cfg.PrivHit, t.done)
 			return
@@ -236,11 +240,7 @@ func (t *writeTxn) dir() {
 		}
 	}
 	m.invalWalks.Observe(uint64(nInval))
-	// The backend's invalidation discipline: SLC walks the sharing list
-	// serially (one hop per valid copy), a conventional directory
-	// multicasts in parallel, tardis sends nothing (logical time jumps
-	// past the lease frontier instead).
-	t.walk = m.coh.invalDelay(nInval)
+	t.walk = m.invalDelay(nInval)
 
 	// Install the new version at the head of the list.
 	if upgrade != nil {
@@ -251,7 +251,9 @@ func (t *writeTxn) dir() {
 		t.node = lst.AddHead(c.id, true, true, ver, 0)
 	}
 	m.recordStore(line, ver)
-	m.coh.dirWrite(c.id, t.node)
+	if m.tardis != nil {
+		m.tardis.Write(c.id, line)
+	}
 	m.sys.storeCommitted(c, t.node, vd)
 	m.dir.Sample(line)
 

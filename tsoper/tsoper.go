@@ -57,10 +57,9 @@ const (
 )
 
 // Protocol selects the coherence backend the machine runs on. Every system
-// composes with every protocol: the sharing list remains the retention
-// structure for unpersisted versions, while the protocol sets invalidation
-// timing and — under Tardis — answers persist-ordering queries from
-// timestamp order instead of list order.
+// composes with every protocol: the sharing list retains unpersisted
+// versions and answers persist ordering under all of them, while the
+// protocol sets invalidation timing and, under Tardis, lease renewals.
 type Protocol = machine.CoherenceKind
 
 const (
