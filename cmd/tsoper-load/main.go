@@ -1,10 +1,9 @@
-// Command tsoper-load drives a tsoper-serve instance — or a tsoper-gateway
-// cluster — with a measured mix of repeated and unique simulation jobs,
-// sweeping client concurrency and reporting sustained throughput with
-// latency percentiles — so the service's capacity is a number, not a claim.
+// Command tsoper-load drives a tsoper-serve instance with a measured mix
+// of repeated and unique simulation jobs, sweeping client concurrency and
+// reporting sustained throughput with latency percentiles — so the
+// service's capacity is a number, not a claim.
 //
 //	tsoper-load -addr http://localhost:7433 -concurrency 1,2,4,8 -jobs 32
-//	tsoper-load -addr http://localhost:7500 -cluster -jobs 64
 //
 // Every -dup'th job resubmits a spec from a small duplicate pool; the rest
 // are unique (distinct seeds). With -check, the result bytes of every
@@ -23,11 +22,9 @@
 // breakdown is printed; the run exits non-zero when the failed-job rate
 // exceeds -error-budget (default 0 — any failure fails the run).
 //
-// -cluster treats -addr as a tsoper-gateway and adds a routing report:
-// per-node throughput, failover and peer-cache-fill counts, and the
-// concurrency-scaling efficiency of each sweep level. -json writes the
-// whole report (levels, error breakdown, server or cluster metrics) to a
-// file for CI artifacts.
+// Each sweep level reports its concurrency-scaling efficiency against the
+// first. -json writes the whole report (levels, error breakdown, server
+// metrics) to a file for CI artifacts.
 //
 // Exit status: 0 clean, 1 over-budget failures / byte mismatches / missing
 // cache hits, 2 usage error.
@@ -40,7 +37,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"sort"
 	"strconv"
@@ -49,7 +45,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/program"
 	"repro/internal/service"
 	"repro/internal/service/client"
@@ -77,15 +72,13 @@ type levelReport struct {
 // report is the -json artifact.
 type report struct {
 	Levels []levelReport `json:"levels"`
-	// Errors buckets failed jobs by HTTP status ("429", "502", …), "conn"
+	// Errors buckets failed jobs by HTTP status ("429", "503", …), "conn"
 	// for transport failures, "timeout" for deadline hits.
 	Errors     map[string]uint64 `json:"errors,omitempty"`
 	ErrorRate  float64           `json:"error_rate"`
 	Mismatches uint64            `json:"mismatches"`
-	// Server is the single-node metrics snapshot; Cluster replaces it under
-	// -cluster.
-	Server  *service.MetricsSnapshot `json:"server,omitempty"`
-	Cluster *cluster.Metrics         `json:"cluster,omitempty"`
+	// Server is the server's metrics snapshot after the sweep.
+	Server *service.MetricsSnapshot `json:"server,omitempty"`
 }
 
 // errorTally buckets failures by class, concurrency-safe.
@@ -121,7 +114,7 @@ func (t *errorTally) snapshot() map[string]uint64 {
 func run(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tsoper-load", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	addr := fs.String("addr", "http://127.0.0.1:7433", "server (or gateway) base URL")
+	addr := fs.String("addr", "http://127.0.0.1:7433", "server base URL")
 	concurrency := fs.String("concurrency", "1,2,4", "comma-separated client widths to sweep")
 	jobs := fs.Int("jobs", 16, "jobs per concurrency level (> 0)")
 	dup := fs.Int("dup", 4, "every dup'th job reuses the duplicate pool (0 = all unique)")
@@ -134,7 +127,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	check := fs.Bool("check", false, "verify duplicate submissions return byte-identical results")
 	requireHit := fs.Bool("require-hit", false, "fail unless the server reports >= 1 cache hit")
 	errorBudget := fs.Float64("error-budget", 0, "tolerated failed-job fraction in [0,1); above it the run exits 1")
-	clusterMode := fs.Bool("cluster", false, "treat -addr as a tsoper-gateway; report per-node routing and failovers")
 	jsonPath := fs.String("json", "", "write the full report to this path as JSON")
 	if err := fs.Parse(argv); err != nil {
 		return 2
@@ -307,33 +299,18 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 
 	exit := 0
-	if *clusterMode {
-		cm, err := fetchClusterMetrics(ctx, *addr)
-		if err != nil {
-			fmt.Fprintf(stderr, "fetching cluster metrics: %v\n", err)
-			exit = 1
-		} else {
-			rep.Cluster = cm
-			printClusterReport(stdout, cm)
-			if *requireHit && cm.CacheFills == 0 && !anyBackendHits(cm) {
-				fmt.Fprintln(stderr, "no cache fills or backend hits despite duplicate submissions")
-				exit = 1
-			}
-		}
+	m, err := c.Metrics(ctx)
+	if err != nil {
+		fmt.Fprintf(stderr, "fetching metrics: %v\n", err)
+		exit = 1
 	} else {
-		m, err := c.Metrics(ctx)
-		if err != nil {
-			fmt.Fprintf(stderr, "fetching metrics: %v\n", err)
+		rep.Server = &m
+		fmt.Fprintf(stdout, "\nserver: %d completed, %d failed, %d rejected (429), cache %d hits / %d misses / %d dedups / %d evictions (hit rate %.2f)\n",
+			m.JobsCompleted, m.JobsFailed, m.JobsRejected,
+			m.Cache.Hits, m.Cache.Misses, m.Cache.Dedups, m.Cache.Evictions, m.Cache.HitRate)
+		if *requireHit && m.Cache.Hits+m.Cache.Dedups == 0 {
+			fmt.Fprintln(stderr, "no cache hits or dedups despite duplicate submissions")
 			exit = 1
-		} else {
-			rep.Server = &m
-			fmt.Fprintf(stdout, "\nserver %s: %d completed, %d failed, %d rejected (429), cache %d hits / %d misses / %d dedups / %d evictions (hit rate %.2f)\n",
-				m.Node, m.JobsCompleted, m.JobsFailed, m.JobsRejected,
-				m.Cache.Hits, m.Cache.Misses, m.Cache.Dedups, m.Cache.Evictions, m.Cache.HitRate)
-			if *requireHit && m.Cache.Hits+m.Cache.Dedups == 0 {
-				fmt.Fprintln(stderr, "no cache hits or dedups despite duplicate submissions")
-				exit = 1
-			}
 		}
 	}
 
@@ -366,72 +343,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		exit = 1
 	}
 	return exit
-}
-
-// fetchClusterMetrics decodes a tsoper-gateway /metrics document.
-func fetchClusterMetrics(ctx context.Context, base string) (*cluster.Metrics, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, strings.TrimRight(base, "/")+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET /metrics: HTTP %d", resp.StatusCode)
-	}
-	var m cluster.Metrics
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, fmt.Errorf("decoding cluster metrics (is -addr really a gateway?): %w", err)
-	}
-	if m.Nodes == nil {
-		return nil, fmt.Errorf("no nodes in metrics document (is -addr really a gateway?)")
-	}
-	return &m, nil
-}
-
-// printClusterReport renders per-node routing, the failover ledger, and
-// cluster-wide cache effectiveness.
-func printClusterReport(w io.Writer, m *cluster.Metrics) {
-	fmt.Fprintf(w, "\ncluster: %d submitted, %d cache fills (%d peer), %d failovers, %d no-backend rejections\n",
-		m.Submitted, m.CacheFills, m.PeerFills, m.Failovers, m.NoBackend)
-	fmt.Fprintf(w, "%-10s %-9s %8s %8s %8s %10s %8s %10s\n",
-		"node", "state", "routed", "served", "fails", "completed", "hits", "hitrate")
-	var hits, misses uint64
-	for _, n := range m.Nodes {
-		completed, nodeHits, rate := "-", "-", "-"
-		if n.Backend != nil {
-			completed = strconv.FormatUint(n.Backend.JobsCompleted, 10)
-			nodeHits = strconv.FormatUint(n.Backend.Cache.Hits, 10)
-			rate = fmt.Sprintf("%.2f", n.Backend.Cache.HitRate)
-			hits += n.Backend.Cache.Hits
-			misses += n.Backend.Cache.Misses
-		}
-		fmt.Fprintf(w, "%-10s %-9s %8d %8d %8d %10s %8s %10s\n",
-			n.Name, n.State, n.Routed, n.CacheServed, n.Failures, completed, nodeHits, rate)
-	}
-	// Cluster-wide hit rate counts gateway cache fills as hits too: a fill
-	// is a submission answered without compute.
-	total := hits + misses + m.CacheFills
-	if total > 0 {
-		fmt.Fprintf(w, "cluster-wide cache hit rate (incl. gateway fills): %.2f\n",
-			float64(hits+m.CacheFills)/float64(total))
-	}
-}
-
-func anyBackendHits(m *cluster.Metrics) bool {
-	for _, n := range m.Nodes {
-		if n.Backend != nil && n.Backend.Cache.Hits+n.Backend.Cache.Dedups > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 func writeReport(path string, rep *report) error {

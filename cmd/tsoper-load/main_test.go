@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/service"
 )
 
@@ -30,6 +29,7 @@ func TestUsageErrors(t *testing.T) {
 		{"budget out of range", []string{"-error-budget", "1.5"}, "-error-budget must be in [0,1)"},
 		{"bad concurrency entry", []string{"-concurrency", "1,zero"}, "bad -concurrency entry"},
 		{"unknown program", []string{"-programs", "not_a_program"}, ""},
+		{"retired cluster flag", []string{"-cluster"}, "flag provided but not defined: -cluster"},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -52,7 +52,7 @@ func fakeServeBackend(t *testing.T) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(service.HealthStatus{Node: "fake", State: "ok"})
+		json.NewEncoder(w).Encode(service.HealthStatus{State: "ok"})
 	})
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec service.JobSpec
@@ -70,7 +70,7 @@ func fakeServeBackend(t *testing.T) *httptest.Server {
 		fmt.Fprintf(w, `{"id":%q}`, r.PathValue("id"))
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(service.MetricsSnapshot{Node: "fake", JobsCompleted: 2})
+		json.NewEncoder(w).Encode(service.MetricsSnapshot{JobsCompleted: 2})
 	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
@@ -132,80 +132,7 @@ func TestJSONReport(t *testing.T) {
 	if rep.ErrorRate <= 0 {
 		t.Errorf("error rate = %g, want > 0", rep.ErrorRate)
 	}
-	if rep.Server == nil || rep.Server.Node != "fake" {
-		t.Errorf("server snapshot = %+v, want node fake", rep.Server)
-	}
-}
-
-// TestClusterReport: -cluster decodes the gateway metrics document and
-// renders per-node routing rows plus scaling efficiency.
-func TestClusterReport(t *testing.T) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(cluster.Health{Node: "gateway", State: "ok", Up: 2})
-	})
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		var spec service.JobSpec
-		json.NewDecoder(r.Body).Decode(&spec)
-		json.NewEncoder(w).Encode(service.JobStatus{
-			ID: fmt.Sprintf("n0:j-%d", spec.Seed), State: "done",
-			Key: fmt.Sprintf("key-%d", spec.Seed),
-		})
-	})
-	mux.HandleFunc("GET /v1/jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, `{"ok":true}`)
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(cluster.Metrics{
-			Submitted: 4, CacheFills: 1, PeerFills: 1, Failovers: 2,
-			Nodes: []cluster.NodeStatus{
-				{Name: "n0", State: "up", Routed: 3,
-					Backend: &service.MetricsSnapshot{JobsCompleted: 3}},
-				{Name: "n1", State: "draining", Routed: 1, CacheServed: 1},
-			},
-		})
-	})
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-
-	path := filepath.Join(t.TempDir(), "cluster.json")
-	var stdout, stderr bytes.Buffer
-	got := run([]string{"-addr", srv.URL, "-jobs", "4", "-dup", "0", "-concurrency", "1",
-		"-cluster", "-json", path}, &stdout, &stderr)
-	if got != 0 {
-		t.Fatalf("exit = %d, want 0 (stderr: %s)", got, stderr.String())
-	}
-	out := stdout.String()
-	for _, want := range []string{"2 failovers", "n0", "n1", "draining", "eff"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("cluster report missing %q:\n%s", want, out)
-		}
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep report
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Cluster == nil || rep.Cluster.Failovers != 2 || len(rep.Cluster.Nodes) != 2 {
-		t.Errorf("cluster section = %+v, want the gateway document embedded", rep.Cluster)
-	}
-}
-
-// TestClusterModeRejectsPlainNode: pointing -cluster at a single
-// tsoper-serve (whose /metrics has no nodes array) fails loudly instead of
-// printing an empty report.
-func TestClusterModeRejectsPlainNode(t *testing.T) {
-	srv := fakeServeBackend(t)
-	var stdout, stderr bytes.Buffer
-	got := run([]string{"-addr", srv.URL, "-jobs", "2", "-dup", "0", "-concurrency", "1",
-		"-error-budget", "0.9", "-cluster"}, &stdout, &stderr)
-	if got != 1 {
-		t.Fatalf("exit = %d, want 1", got)
-	}
-	if !strings.Contains(stderr.String(), "really a gateway") {
-		t.Errorf("stderr %q does not flag the address mismatch", stderr.String())
+	if rep.Server == nil || rep.Server.JobsCompleted != 2 {
+		t.Errorf("server snapshot = %+v, want the backend's 2 completed jobs", rep.Server)
 	}
 }

@@ -46,7 +46,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tsoper-serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":7433", "listen address")
-	node := fs.String("node", "", "node ID reported on /healthz and /metrics for cluster routing (default node-0)")
 	workers := fs.Int("workers", 0, "simulation worker pool width (0 = GOMAXPROCS)")
 	queueDepth := fs.Int("queue", 64, "admission queue bound; overflow gets 429 + Retry-After")
 	cacheEntries := fs.Int("cache", 256, "content-addressed result cache entries (LRU)")
@@ -88,7 +87,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
 
 	srv := service.New(service.Config{
-		NodeID:          *node,
 		Workers:         *workers,
 		QueueDepth:      *queueDepth,
 		CacheEntries:    *cacheEntries,

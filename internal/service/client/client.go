@@ -21,44 +21,37 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Client talks to one server — a tsoper-serve node or a tsoper-gateway
-// front door (the API is the same; job IDs are opaque either way). The
-// zero HTTPClient means http.DefaultClient.
+// Client talks to one tsoper-serve instance.
 type Client struct {
-	base  string
-	hc    *http.Client
-	retry RetryPolicy
+	base string
+	hc   *http.Client
 }
 
-// New creates a client for a base URL like "http://127.0.0.1:7433",
-// with DefaultRetryPolicy.
+// New creates a client for a base URL like "http://127.0.0.1:7433". A nil
+// hc means http.DefaultClient.
 func New(base string, hc *http.Client) *Client {
 	if hc == nil {
 		hc = http.DefaultClient
 	}
-	return &Client{base: strings.TrimRight(base, "/"), hc: hc, retry: DefaultRetryPolicy}
-}
-
-// WithRetry replaces the client's retry policy (zero fields take the
-// defaults) and returns the client for chaining.
-func (c *Client) WithRetry(p RetryPolicy) *Client {
-	c.retry = p.withDefaults()
-	return c
+	return &Client{base: strings.TrimRight(base, "/"), hc: hc}
 }
 
 // Base returns the server base URL the client targets.
 func (c *Client) Base() string { return c.base }
 
-// APIError is a non-2xx response. RetryAfter is populated on 429.
-// Message is the decoded `error` field when the body is an error document,
-// the raw body text otherwise; Body always keeps the raw bytes so callers
-// can decode structured rejection documents (e.g. the over-budget 429's
-// cost estimate).
+// APIError is a non-2xx response. RetryAfter is the response's Retry-After
+// header, when it carries one. Message is the decoded `error` field when
+// the body is an error document, the raw body text otherwise; Body always
+// keeps the raw bytes so callers can decode structured rejection documents
+// (e.g. the over-budget 429's cost estimate).
 type APIError struct {
 	Status     int
 	Message    string
 	Body       []byte
 	RetryAfter time.Duration
+	// hasRetryAfter distinguishes "Retry-After: 0" from no header at all;
+	// only the former is retried (see retryWait).
+	hasRetryAfter bool
 }
 
 func (e *APIError) Error() string {
@@ -113,6 +106,7 @@ func newAPIError(resp *http.Response, raw []byte) *APIError {
 	if s := resp.Header.Get("Retry-After"); s != "" {
 		if secs, err := strconv.Atoi(s); err == nil {
 			apiErr.RetryAfter = time.Duration(secs) * time.Second
+			apiErr.hasRetryAfter = true
 		}
 	}
 	return apiErr
@@ -169,38 +163,23 @@ func (c *Client) Cancel(ctx context.Context, id string) (service.JobStatus, erro
 	return st, err
 }
 
-// Wait polls until the job reaches a terminal state, then returns it.
-// Transient poll failures (connection errors, 502/503/504, 429) are
-// absorbed with the client's backoff policy rather than aborting the wait;
-// a definitive answer — including 404 for a job record that no longer
-// exists — surfaces immediately.
+// Wait polls until the job reaches a terminal state, then returns it. Any
+// poll error — including 404 for a job record that no longer exists —
+// surfaces immediately.
 func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (service.JobStatus, error) {
 	if poll <= 0 {
 		poll = 25 * time.Millisecond
 	}
 	ticker := time.NewTicker(poll)
 	defer ticker.Stop()
-	r := newRetrier(c.retry)
 	for {
 		st, err := c.Status(ctx, id)
-		switch {
-		case err == nil:
-			r = newRetrier(c.retry) // a successful poll resets the failure streak
-			switch st.State {
-			case "done", "failed", "canceled":
-				return st, nil
-			}
-		case transient(err):
-			wait, ok := r.next(retryAfterHint(err))
-			if !ok {
-				return st, err
-			}
-			if serr := sleepCtx(ctx, wait); serr != nil {
-				return st, serr
-			}
-			continue
-		default:
+		if err != nil {
 			return st, err
+		}
+		switch st.State {
+		case "done", "failed", "canceled":
+			return st, nil
 		}
 		select {
 		case <-ticker.C:
@@ -210,65 +189,39 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (servi
 	}
 }
 
-// Run is submit-wait-result in one call, the client's whole robustness
-// story: submission retries transient failures (backpressure, node
-// unavailability, connection errors) with capped jittered backoff honoring
-// Retry-After; and if the job record is lost mid-wait — the owning node
-// died or restarted — the spec is resubmitted from scratch, which is safe
-// because the simulator recomputes byte-identical results. A deterministic
-// failure (bad spec, failed simulation) is never retried.
+// Run is submit-wait-result in one call. A submission the server rejects
+// as transient (queue full, draining) is resubmitted after the server's
+// Retry-After, up to maxAttempts submissions in all; every other error —
+// a bad spec, an over-budget program, a failed simulation — surfaces
+// unchanged on first sight.
 func (c *Client) Run(ctx context.Context, spec service.JobSpec) ([]byte, service.JobStatus, error) {
-	r := newRetrier(c.retry)
-	backoff := func(err error) error {
-		wait, ok := r.next(retryAfterHint(err))
+	st, err := c.Submit(ctx, spec)
+	for attempt := 1; err != nil && attempt < maxAttempts; attempt++ {
+		wait, ok := retryWait(err)
 		if !ok {
-			return err
+			break
 		}
 		if serr := sleepCtx(ctx, wait); serr != nil {
-			return serr
+			return nil, st, serr
 		}
-		return nil
-	}
-	var st service.JobStatus
-	for {
-		var err error
 		st, err = c.Submit(ctx, spec)
-		if err != nil {
-			if !transient(err) {
-				return nil, st, err
-			}
-			if berr := backoff(err); berr != nil {
-				return nil, st, berr
-			}
-			continue
-		}
-		if st.State != "done" {
-			st, err = c.Wait(ctx, st.ID, 0)
-			if err != nil {
-				if !transient(err) && !lost(err) {
-					return nil, st, err
-				}
-				if berr := backoff(err); berr != nil {
-					return nil, st, berr
-				}
-				continue // resubmit: the job record is unreachable or gone
-			}
-		}
-		if st.State != "done" {
-			return nil, st, fmt.Errorf("service: job %s ended %s: %s", st.ID, st.State, st.Error)
-		}
-		body, err := c.Result(ctx, st.ID)
-		if err != nil {
-			if !transient(err) && !lost(err) {
-				return nil, st, err
-			}
-			if berr := backoff(err); berr != nil {
-				return nil, st, berr
-			}
-			continue
-		}
-		return body, st, nil
 	}
+	if err != nil {
+		return nil, st, err
+	}
+	if st.State != "done" {
+		if st, err = c.Wait(ctx, st.ID, 0); err != nil {
+			return nil, st, err
+		}
+	}
+	if st.State != "done" {
+		return nil, st, fmt.Errorf("service: job %s ended %s: %s", st.ID, st.State, st.Error)
+	}
+	body, err := c.Result(ctx, st.ID)
+	if err != nil {
+		return nil, st, err
+	}
+	return body, st, nil
 }
 
 // Events consumes a job's SSE stream: onProgress is invoked for every
@@ -345,58 +298,4 @@ func (c *Client) Metrics(ctx context.Context) (service.MetricsSnapshot, error) {
 // Healthz reports server liveness; a draining server returns an error.
 func (c *Client) Healthz(ctx context.Context) error {
 	return c.do(ctx, http.MethodGet, "/healthz", nil, nil)
-}
-
-// Health fetches the node's health document. Unlike Healthz it decodes the
-// body for both 200 (ok) and 503 (draining) — a gateway needs to tell a
-// draining node (alive, serves cache reads) from a dead one (error).
-func (c *Client) Health(ctx context.Context) (service.HealthStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)
-	if err != nil {
-		return service.HealthStatus{}, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return service.HealthStatus{}, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return service.HealthStatus{}, err
-	}
-	var hs service.HealthStatus
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
-		return hs, newAPIError(resp, raw)
-	}
-	if err := json.Unmarshal(raw, &hs); err != nil {
-		return hs, fmt.Errorf("service: decoding health document: %w", err)
-	}
-	return hs, nil
-}
-
-// CacheGet fetches the cached result bytes for a content address from the
-// node's cache-read endpoint. ok=false reports a clean miss; errors are
-// reachability problems.
-func (c *Client) CacheGet(ctx context.Context, key string) (body []byte, ok bool, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/cache/"+key, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, false, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, false, err
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return raw, true, nil
-	case http.StatusNotFound:
-		return nil, false, nil
-	default:
-		return nil, false, newAPIError(resp, raw)
-	}
 }

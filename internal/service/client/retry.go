@@ -7,158 +7,25 @@ import (
 	"time"
 )
 
-// RetryPolicy shapes the client's handling of transient failures — 429
-// backpressure, 502/503/504 unavailability, and transport-level errors —
-// as capped exponential backoff with deterministic, seedable jitter. The
-// determinism matters: load tests and chaos campaigns replay the exact
-// same schedule for the same seed, so a timing-sensitive failure
-// reproduces instead of flaking.
-type RetryPolicy struct {
-	// MaxAttempts bounds the total tries per logical operation (default 6).
-	MaxAttempts int
-	// Base is the pre-jitter delay after the first failure; each further
-	// failure doubles it (default 100ms).
-	Base time.Duration
-	// Cap ceils any single delay before jitter (default 5s).
-	Cap time.Duration
-	// Jitter spreads each delay uniformly over ±Jitter of its nominal
-	// value, decorrelating clients that fail together (default 0.25).
-	Jitter float64
-	// Seed selects the jitter stream; equal seeds yield equal schedules
-	// (default 1).
-	Seed uint64
-}
+// maxAttempts bounds the submissions one Run makes: the first try plus up
+// to five retries.
+const maxAttempts = 6
 
-// DefaultRetryPolicy is what a zero-configured client uses.
-var DefaultRetryPolicy = RetryPolicy{
-	MaxAttempts: 6,
-	Base:        100 * time.Millisecond,
-	Cap:         5 * time.Second,
-	Jitter:      0.25,
-	Seed:        1,
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = DefaultRetryPolicy.MaxAttempts
-	}
-	if p.Base <= 0 {
-		p.Base = DefaultRetryPolicy.Base
-	}
-	if p.Cap <= 0 {
-		p.Cap = DefaultRetryPolicy.Cap
-	}
-	if p.Jitter < 0 || p.Jitter > 1 {
-		p.Jitter = DefaultRetryPolicy.Jitter
-	}
-	if p.Seed == 0 {
-		p.Seed = DefaultRetryPolicy.Seed
-	}
-	return p
-}
-
-// Delays materializes the full backoff schedule (without server-supplied
-// Retry-After overrides): MaxAttempts-1 waits, exponentially growing from
-// Base to Cap, each jittered deterministically from Seed.
-func (p RetryPolicy) Delays() []time.Duration {
-	r := newRetrier(p)
-	var out []time.Duration
-	for {
-		d, ok := r.next(0)
-		if !ok {
-			return out
-		}
-		out = append(out, d)
-	}
-}
-
-// retrier walks one operation's schedule.
-type retrier struct {
-	p       RetryPolicy
-	rng     uint64
-	attempt int
-}
-
-func newRetrier(p RetryPolicy) *retrier {
-	p = p.withDefaults()
-	return &retrier{p: p, rng: p.Seed}
-}
-
-// next returns the wait before the following attempt, or false when the
-// attempt budget is spent. A positive retryAfter (the server's own hint)
-// overrides the computed delay — the server knows its queue better than
-// the client's curve does.
-func (r *retrier) next(retryAfter time.Duration) (time.Duration, bool) {
-	r.attempt++
-	if r.attempt >= r.p.MaxAttempts {
+// retryWait is the client's one retry rule: a 429 or 503 that carries a
+// Retry-After header is the server asking to be tried again after exactly
+// that wait. tsoper-serve sets the header on every transient rejection —
+// queue full (429) and draining (503) — and on nothing else, so every other
+// error, the over-budget 429 included, is final.
+func retryWait(err error) (time.Duration, bool) {
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || !apiErr.hasRetryAfter {
 		return 0, false
 	}
-	if retryAfter > 0 {
-		return retryAfter, true
+	switch apiErr.Status {
+	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+		return apiErr.RetryAfter, true
 	}
-	shift := r.attempt - 1
-	if shift > 20 { // past this the cap has long since won
-		shift = 20
-	}
-	d := r.p.Base << shift
-	if d > r.p.Cap || d <= 0 {
-		d = r.p.Cap
-	}
-	// Jitter multiplies by a uniform draw from [1-Jitter, 1+Jitter].
-	u := float64(splitmix64(&r.rng)>>11) / float64(1<<53)
-	return time.Duration(float64(d) * (1 - r.p.Jitter + 2*r.p.Jitter*u)), true
-}
-
-// splitmix64 is the jitter stream: tiny, deterministic, well-mixed.
-func splitmix64(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
-	z := *state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// transient reports whether err is worth retrying: server backpressure or
-// unavailability, or a transport-level failure (connection refused/reset,
-// truncated body — the shapes a dying or restarting node produces).
-// Context cancellation and definitive API answers (400, 404, 409 …) are
-// not transient.
-func transient(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	var apiErr *APIError
-	if errors.As(err, &apiErr) {
-		switch apiErr.Status {
-		case http.StatusTooManyRequests, http.StatusBadGateway,
-			http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-			return true
-		}
-		return false
-	}
-	return true
-}
-
-// lost reports whether err means the job record itself is gone — a node
-// restarted out from under us, or retention expired it. The simulator's
-// determinism makes resubmission safe: recomputing yields byte-identical
-// results.
-func lost(err error) bool {
-	var apiErr *APIError
-	return errors.As(err, &apiErr) &&
-		(apiErr.Status == http.StatusNotFound || apiErr.Status == http.StatusGone)
-}
-
-// retryAfterHint extracts the server's Retry-After from an error, if any.
-func retryAfterHint(err error) time.Duration {
-	var apiErr *APIError
-	if errors.As(err, &apiErr) {
-		return apiErr.RetryAfter
-	}
-	return 0
+	return 0, false
 }
 
 // sleepCtx waits d or until ctx is done.

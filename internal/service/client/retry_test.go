@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -15,135 +14,19 @@ import (
 	"repro/internal/service"
 )
 
-// TestDelaysDeterministic pins the schedule contract: the same seed yields
-// the same jittered schedule, a different seed a different one. Chaos
-// campaigns rely on this to replay timing-sensitive failures.
-func TestDelaysDeterministic(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 6, Base: 100 * time.Millisecond, Cap: 5 * time.Second, Jitter: 0.25, Seed: 42}
-	a, b := p.Delays(), p.Delays()
-	if len(a) != 5 {
-		t.Fatalf("schedule length = %d, want MaxAttempts-1 = 5", len(a))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("delay %d differs between identical policies: %s vs %s", i, a[i], b[i])
-		}
-	}
-	p.Seed = 43
-	c := p.Delays()
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical schedules")
-	}
-}
-
-// TestDelaysExponentialToCap checks the unjittered curve: doubling from
-// Base, clamped at Cap. Jitter=0 must be honored, not replaced by the
-// default (a backoff test with surprise jitter is a flaky backoff test).
-func TestDelaysExponentialToCap(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 8, Base: 50 * time.Millisecond, Cap: 400 * time.Millisecond, Jitter: 0, Seed: 1}
-	got := p.Delays()
-	want := []time.Duration{
-		50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond,
-		400 * time.Millisecond, 400 * time.Millisecond, 400 * time.Millisecond,
-		400 * time.Millisecond,
-	}
-	if len(got) != len(want) {
-		t.Fatalf("schedule length = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("delay %d = %s, want %s", i, got[i], want[i])
-		}
-	}
-}
-
-// TestDelaysJitterBounds: every jittered delay stays within ±Jitter of the
-// nominal curve.
-func TestDelaysJitterBounds(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 10, Base: 100 * time.Millisecond, Cap: time.Second, Jitter: 0.25, Seed: 7}
-	nominal := RetryPolicy{MaxAttempts: 10, Base: 100 * time.Millisecond, Cap: time.Second, Jitter: 0, Seed: 7}.Delays()
-	for i, d := range p.Delays() {
-		lo := time.Duration(float64(nominal[i]) * 0.75)
-		hi := time.Duration(float64(nominal[i]) * 1.25)
-		if d < lo || d > hi {
-			t.Errorf("delay %d = %s outside [%s, %s]", i, d, lo, hi)
-		}
-	}
-}
-
-// TestRetrierRetryAfterOverride: the server's own hint beats the computed
-// curve, and the attempt budget still counts down.
-func TestRetrierRetryAfterOverride(t *testing.T) {
-	r := newRetrier(RetryPolicy{MaxAttempts: 3, Base: time.Hour, Jitter: 0, Seed: 1})
-	d, ok := r.next(7 * time.Second)
-	if !ok || d != 7*time.Second {
-		t.Fatalf("next(7s) = %s, %v; want 7s, true", d, ok)
-	}
-	d, ok = r.next(2 * time.Second)
-	if !ok || d != 2*time.Second {
-		t.Fatalf("next(2s) = %s, %v; want 2s, true", d, ok)
-	}
-	if _, ok := r.next(time.Second); ok {
-		t.Fatal("retrier exceeded MaxAttempts")
-	}
-}
-
-// TestTransientClassification is the retry taxonomy table.
-func TestTransientClassification(t *testing.T) {
-	cases := []struct {
-		name string
-		err  error
-		want bool
-	}{
-		{"nil", nil, false},
-		{"context canceled", context.Canceled, false},
-		{"deadline exceeded", context.DeadlineExceeded, false},
-		{"wrapped cancellation", fmt.Errorf("poll: %w", context.Canceled), false},
-		{"connection error", errors.New("dial tcp: connection refused"), true},
-		{"truncated body", io.ErrUnexpectedEOF, true},
-		{"429 backpressure", &APIError{Status: 429}, true},
-		{"502 bad gateway", &APIError{Status: 502}, true},
-		{"503 unavailable", &APIError{Status: 503}, true},
-		{"504 gateway timeout", &APIError{Status: 504}, true},
-		{"400 bad spec", &APIError{Status: 400}, false},
-		{"404 not found", &APIError{Status: 404}, false},
-		{"409 conflict", &APIError{Status: 409}, false},
-		{"500 internal", &APIError{Status: 500}, false},
-	}
-	for _, tc := range cases {
-		if got := transient(tc.err); got != tc.want {
-			t.Errorf("transient(%s) = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
-// TestLostClassification: only 404/410 mean the job record is gone.
-func TestLostClassification(t *testing.T) {
-	if !lost(&APIError{Status: 404}) || !lost(&APIError{Status: 410}) {
-		t.Error("404/410 must classify as lost")
-	}
-	if lost(&APIError{Status: 503}) || lost(errors.New("conn refused")) || lost(nil) {
-		t.Error("non-404/410 must not classify as lost")
-	}
-}
-
-// fastRetry keeps retry tests quick without changing the schedule shape.
-var fastRetry = RetryPolicy{MaxAttempts: 4, Base: time.Millisecond, Cap: 5 * time.Millisecond, Jitter: 0, Seed: 1}
-
-// TestRunRetriesTransientSubmit: 502s from a failing-over gateway are
-// retried until a node accepts, and the result comes back clean.
-func TestRunRetriesTransientSubmit(t *testing.T) {
-	var submits atomic.Int32
+// rejectingServer answers the first `rejections` submissions with status
+// (plus a Retry-After header when retryAfter is non-empty) and accepts the
+// rest as instant cache hits; submits counts every POST.
+func rejectingServer(t *testing.T, status int, retryAfter string, rejections int32, submits *atomic.Int32) *httptest.Server {
+	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		if submits.Add(1) <= 2 {
-			http.Error(w, `{"error":"no backend"}`, http.StatusBadGateway)
+		if submits.Add(1) <= rejections {
+			if retryAfter != "" {
+				w.Header().Set("Retry-After", retryAfter)
+			}
+			w.WriteHeader(status)
+			fmt.Fprintf(w, `{"error":"scripted %d"}`, status)
 			return
 		}
 		writeJSON(w, service.JobStatus{ID: "j-1", State: "done", Key: "k"})
@@ -152,144 +35,93 @@ func TestRunRetriesTransientSubmit(t *testing.T) {
 		fmt.Fprint(w, `{"ok":true}`)
 	})
 	srv := httptest.NewServer(mux)
-	defer srv.Close()
+	t.Cleanup(srv.Close)
+	return srv
+}
 
-	c := New(srv.URL, nil).WithRetry(fastRetry)
-	body, st, err := c.Run(context.Background(), service.JobSpec{Bench: "radix", System: "tsoper"})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+// TestRetryRule is the whole retry taxonomy: only a 429 or 503 carrying
+// Retry-After is resubmitted; everything else — including the over-budget
+// 429, which carries no header — surfaces unchanged after one submission.
+func TestRetryRule(t *testing.T) {
+	cases := []struct {
+		name       string
+		status     int
+		retryAfter string
+		retried    bool
+	}{
+		{"429 with Retry-After", http.StatusTooManyRequests, "0", true},
+		{"429 without Retry-After", http.StatusTooManyRequests, "", false},
+		{"503 with Retry-After", http.StatusServiceUnavailable, "0", true},
+		{"503 without Retry-After", http.StatusServiceUnavailable, "", false},
+		{"400 with Retry-After", http.StatusBadRequest, "0", false},
+		{"404", http.StatusNotFound, "", false},
+		{"502 with Retry-After", http.StatusBadGateway, "0", false},
 	}
-	if got := submits.Load(); got != 3 {
-		t.Errorf("submits = %d, want 3 (two 502s then success)", got)
-	}
-	if st.State != "done" || string(body) != `{"ok":true}` {
-		t.Errorf("st=%+v body=%q", st, body)
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			var submits atomic.Int32
+			srv := rejectingServer(t, tc.status, tc.retryAfter, 1, &submits)
+			body, _, err := New(srv.URL, nil).Run(context.Background(), service.JobSpec{Bench: "radix", System: "tsoper"})
+			if tc.retried {
+				if err != nil || string(body) != `{"ok":true}` {
+					t.Fatalf("Run = %q, %v; want the result after one retry", body, err)
+				}
+				if got := submits.Load(); got != 2 {
+					t.Errorf("submits = %d, want 2", got)
+				}
+				return
+			}
+			var apiErr *APIError
+			if !errors.As(err, &apiErr) || apiErr.Status != tc.status {
+				t.Fatalf("err = %v, want *APIError %d", err, tc.status)
+			}
+			if got := submits.Load(); got != 1 {
+				t.Errorf("submits = %d, want exactly 1", got)
+			}
+		})
 	}
 }
 
-// TestRunResubmitsLostJob: the owning node restarted mid-wait, so the job
-// record 404s; Run must resubmit the spec rather than fail — determinism
-// makes the recompute byte-identical.
-func TestRunResubmitsLostJob(t *testing.T) {
-	var submits atomic.Int32
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		if submits.Add(1) == 1 {
-			writeJSON(w, service.JobStatus{ID: "j-lost", State: "queued"})
-			return
-		}
-		writeJSON(w, service.JobStatus{ID: "j-2", State: "done", Key: "k"})
-	})
-	mux.HandleFunc("GET /v1/jobs/j-lost", func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, `{"error":"unknown job"}`, http.StatusNotFound)
-	})
-	mux.HandleFunc("GET /v1/jobs/j-2/result", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, `{"run":2}`)
-	})
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-
-	c := New(srv.URL, nil).WithRetry(fastRetry)
-	body, st, err := c.Run(context.Background(), service.JobSpec{Bench: "radix", System: "tsoper"})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if submits.Load() != 2 {
-		t.Errorf("submits = %d, want 2 (original + resubmission)", submits.Load())
-	}
-	if st.ID != "j-2" || string(body) != `{"run":2}` {
-		t.Errorf("st=%+v body=%q", st, body)
-	}
-}
-
-// TestRunGivesUpAfterBudget: a permanently unavailable server exhausts
-// MaxAttempts and surfaces the last transient error instead of spinning.
+// TestRunGivesUpAfterBudget: a server that keeps shedding load is tried
+// maxAttempts times, then its last 429 surfaces instead of spinning.
 func TestRunGivesUpAfterBudget(t *testing.T) {
 	var submits atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		submits.Add(1)
-		http.Error(w, `{"error":"down"}`, http.StatusServiceUnavailable)
-	}))
-	defer srv.Close()
-
-	c := New(srv.URL, nil).WithRetry(fastRetry)
-	_, _, err := c.Run(context.Background(), service.JobSpec{Bench: "radix", System: "tsoper"})
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable {
-		t.Fatalf("err = %v, want APIError 503", err)
+	srv := rejectingServer(t, http.StatusTooManyRequests, "0", 1<<30, &submits)
+	_, _, err := New(srv.URL, nil).Run(context.Background(), service.JobSpec{Bench: "radix", System: "tsoper"})
+	if !IsBackpressure(err) {
+		t.Fatalf("err = %v, want the final 429", err)
 	}
-	if got := submits.Load(); got != int32(fastRetry.MaxAttempts) {
-		t.Errorf("submits = %d, want MaxAttempts = %d", got, fastRetry.MaxAttempts)
+	if got := submits.Load(); got != maxAttempts {
+		t.Errorf("submits = %d, want maxAttempts = %d", got, maxAttempts)
 	}
 }
 
-// TestRunNeverRetriesDeterministicFailure: a 400 means the spec itself is
-// wrong; retrying would hammer the server with the same mistake.
-func TestRunNeverRetriesDeterministicFailure(t *testing.T) {
+// TestRunHonoursRetryAfter: the resubmission waits exactly the server's
+// Retry-After, not a client-side curve, and a context that ends first
+// unblocks the wait.
+func TestRunHonoursRetryAfter(t *testing.T) {
 	var submits atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		submits.Add(1)
-		http.Error(w, `{"error":"unknown benchmark"}`, http.StatusBadRequest)
-	}))
-	defer srv.Close()
+	srv := rejectingServer(t, http.StatusServiceUnavailable, "1", 1, &submits)
+	c := New(srv.URL, nil)
 
-	c := New(srv.URL, nil).WithRetry(fastRetry)
-	_, _, err := c.Run(context.Background(), service.JobSpec{Bench: "doom", System: "tsoper"})
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
-		t.Fatalf("err = %v, want APIError 400", err)
+	start := time.Now()
+	if _, _, err := c.Run(context.Background(), service.JobSpec{Bench: "radix", System: "tsoper"}); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
-	if submits.Load() != 1 {
-		t.Errorf("submits = %d, want exactly 1", submits.Load())
+	if elapsed := time.Since(start); elapsed < time.Second || elapsed > 3*time.Second {
+		t.Errorf("Run took %s, want about the 1s Retry-After", elapsed)
 	}
-}
 
-// TestWaitAbsorbsTransientPolls: a node flapping 502 mid-wait must not
-// abort the wait; the poll loop rides through and returns the terminal
-// state.
-func TestWaitAbsorbsTransientPolls(t *testing.T) {
-	var polls atomic.Int32
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/jobs/j-1", func(w http.ResponseWriter, r *http.Request) {
-		switch polls.Add(1) {
-		case 1:
-			writeJSON(w, service.JobStatus{ID: "j-1", State: "running"})
-		case 2, 3:
-			http.Error(w, `{"error":"restarting"}`, http.StatusBadGateway)
-		default:
-			writeJSON(w, service.JobStatus{ID: "j-1", State: "done"})
-		}
-	})
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-
-	c := New(srv.URL, nil).WithRetry(fastRetry)
-	st, err := c.Wait(context.Background(), "j-1", time.Millisecond)
-	if err != nil {
-		t.Fatalf("Wait: %v", err)
+	submits.Store(0)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	_, _, err := c.Run(ctx, service.JobSpec{Bench: "radix", System: "tsoper"})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want the context deadline during the Retry-After wait", err)
 	}
-	if st.State != "done" {
-		t.Errorf("state = %q, want done", st.State)
-	}
-	if polls.Load() < 4 {
-		t.Errorf("polls = %d, want >= 4", polls.Load())
-	}
-}
-
-// TestWaitExhaustsOnPersistentTransient: if the node never comes back the
-// wait ends with the transient error after the attempt budget, not an
-// infinite loop.
-func TestWaitExhaustsOnPersistentTransient(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, `{"error":"gone dark"}`, http.StatusBadGateway)
-	}))
-	defer srv.Close()
-
-	c := New(srv.URL, nil).WithRetry(fastRetry)
-	_, err := c.Wait(context.Background(), "j-1", time.Millisecond)
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadGateway {
-		t.Fatalf("err = %v, want APIError 502", err)
+	if got := submits.Load(); got != 1 {
+		t.Errorf("submits = %d, want 1 (the wait was cut short)", got)
 	}
 }
 

@@ -19,9 +19,6 @@ import (
 //	                            JSON); 202 while pending, 500 if failed
 //	GET    /v1/jobs/{id}/events SSE: progress samples, then a state event
 //	DELETE /v1/jobs/{id}        cancel a queued job; 409 if running
-//	GET    /v1/cache/{hash}     raw cached result bytes for a content
-//	                            address; 404 on miss. Served even while
-//	                            draining (peer cache-fill).
 //	GET    /healthz             HealthStatus JSON; 200 ok / 503 draining
 //	GET    /metrics             MetricsSnapshot JSON
 type httpHandler struct {
@@ -36,7 +33,6 @@ func newHTTPHandler(s *Server) *httpHandler {
 	h.mux.HandleFunc("GET /v1/jobs/{id}/result", h.result)
 	h.mux.HandleFunc("GET /v1/jobs/{id}/events", h.events)
 	h.mux.HandleFunc("DELETE /v1/jobs/{id}", h.cancel)
-	h.mux.HandleFunc("GET /v1/cache/{hash}", h.cacheGet)
 	h.mux.HandleFunc("GET /healthz", h.healthz)
 	h.mux.HandleFunc("GET /metrics", h.metrics)
 	return h
@@ -88,35 +84,19 @@ func (h *httpHandler) submit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusTooManyRequests, "queue full (%d jobs)", h.s.queue.Cap())
 	case outcomeOverBudget:
 		// Unlike queue-full, this is not transient: the same program will be
-		// rejected again, so no Retry-After — the body carries the estimate
-		// so the client can right-size the program instead.
+		// rejected again, so no Retry-After — the client does not retry, and
+		// the body carries the estimate so the program can be right-sized.
 		writeJSON(w, http.StatusTooManyRequests, overBudgetResponse{
 			Error:    fmt.Sprintf("program estimated at %d trace ops, over the %d-op admission budget", j.plan.est.Ops, h.s.cfg.MaxProgramOps),
 			Estimate: j.plan.est,
 			Budget:   h.s.cfg.MaxProgramOps,
 		})
 	case outcomeDraining:
-		// The node is on its way out; Retry-After tells a direct client to
-		// back off briefly, and a gateway to reroute the job elsewhere.
+		// The server is on its way out; Retry-After tells the client to
+		// back off briefly.
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable, "draining")
 	}
-}
-
-// cacheGet serves the raw result bytes for a content address — the peer
-// cache-fill path: before recomputing, a gateway asks a job's replica
-// candidates for an existing result. Deliberately available while draining.
-func (h *httpHandler) cacheGet(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("hash")
-	body, ok := h.s.cacheRead(key)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no cached result for %s", key)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Tsoper-Key", key)
-	w.Header().Set("X-Tsoper-Cache", "hit")
-	_, _ = w.Write(body)
 }
 
 // overBudgetResponse is the 429 body for cost-rejected program jobs.

@@ -11,16 +11,14 @@ import (
 // simulated machines'): admission counters, cache effectiveness, and a
 // bounded reservoir of job latencies for percentile reporting.
 type metrics struct {
-	submitted      atomic.Uint64
-	completed      atomic.Uint64
-	failed         atomic.Uint64
-	canceled       atomic.Uint64
-	rejected       atomic.Uint64
-	cacheHits      atomic.Uint64
-	cacheMisses    atomic.Uint64
-	dedups         atomic.Uint64
-	peerReads      atomic.Uint64 // cache-read endpoint hits (peer cache-fill)
-	peerReadMisses atomic.Uint64
+	submitted   atomic.Uint64
+	completed   atomic.Uint64
+	failed      atomic.Uint64
+	canceled    atomic.Uint64
+	rejected    atomic.Uint64
+	cacheHits   atomic.Uint64
+	cacheMisses atomic.Uint64
+	dedups      atomic.Uint64
 	// warmStarts counts program jobs resumed from a cached prefix
 	// checkpoint; warmStartRejects counts blobs the replay-verification
 	// refused (the job then ran cold).
@@ -92,10 +90,6 @@ type CacheStats struct {
 	// Evictions counts entries dropped by LRU pressure; a high rate means
 	// the cache is undersized for the working set.
 	Evictions uint64 `json:"evictions"`
-	// PeerReads / PeerReadMisses count cache-read endpoint lookups
-	// (GET /v1/cache/{hash}) — how often cluster peers fill from this node.
-	PeerReads      uint64 `json:"peer_reads"`
-	PeerReadMisses uint64 `json:"peer_read_misses"`
 	// WarmStarts counts program jobs resumed from a cached prefix
 	// checkpoint; WarmStartRejects counts blobs rejected by
 	// replay-verification (those jobs ran cold and stayed correct).
@@ -105,11 +99,10 @@ type CacheStats struct {
 
 // MetricsSnapshot is the /metrics document.
 type MetricsSnapshot struct {
-	Node       string `json:"node"`
-	QueueDepth int    `json:"queue_depth"`
-	QueueCap   int    `json:"queue_cap"`
-	Workers    int    `json:"workers"`
-	Draining   bool   `json:"draining"`
+	QueueDepth int  `json:"queue_depth"`
+	QueueCap   int  `json:"queue_cap"`
+	Workers    int  `json:"workers"`
+	Draining   bool `json:"draining"`
 
 	JobsSubmitted uint64 `json:"jobs_submitted"`
 	JobsCompleted uint64 `json:"jobs_completed"`
@@ -117,7 +110,7 @@ type MetricsSnapshot struct {
 	JobsCanceled  uint64 `json:"jobs_canceled"`
 	JobsRejected  uint64 `json:"jobs_rejected"`
 	// JobsQueued / JobsRunning are point-in-time gauges of non-terminal
-	// jobs, the numbers a gateway watches to judge routing decisions.
+	// jobs.
 	JobsQueued  int `json:"jobs_queued"`
 	JobsRunning int `json:"jobs_running"`
 
@@ -126,24 +119,19 @@ type MetricsSnapshot struct {
 }
 
 // HealthStatus is the /healthz document. State is "ok" or "draining"; a
-// draining node still serves cache reads and finishes accepted work, so a
-// gateway treats it as alive-but-not-admitting rather than down.
+// draining server finishes accepted work but admits no new jobs.
 type HealthStatus struct {
-	Node    string `json:"node"`
-	State   string `json:"state"`
-	Queued  int    `json:"queued"`
-	Running int    `json:"running"`
+	State string `json:"state"`
 }
 
-// Health snapshots node identity and drain state for /healthz.
+// Health snapshots drain state for /healthz.
 func (s *Server) Health() HealthStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := HealthStatus{Node: s.cfg.NodeID, State: "ok", Queued: s.nQueued, Running: s.nRunning}
 	if s.draining {
-		st.State = "draining"
+		return HealthStatus{State: "draining"}
 	}
-	return st
+	return HealthStatus{State: "ok"}
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
@@ -155,7 +143,6 @@ func (s *Server) Metrics() MetricsSnapshot {
 	queued, running, draining := s.nQueued, s.nRunning, s.draining
 	s.mu.Unlock()
 	snap := MetricsSnapshot{
-		Node:          s.cfg.NodeID,
 		QueueDepth:    s.queue.Depth(),
 		QueueCap:      s.queue.Cap(),
 		Workers:       s.cfg.Workers,
@@ -173,8 +160,6 @@ func (s *Server) Metrics() MetricsSnapshot {
 			Misses:           m.cacheMisses.Load(),
 			Dedups:           m.dedups.Load(),
 			Evictions:        s.cache.Evictions(),
-			PeerReads:        m.peerReads.Load(),
-			PeerReadMisses:   m.peerReadMisses.Load(),
 			WarmStarts:       m.warmStarts.Load(),
 			WarmStartRejects: m.warmStartRejects.Load(),
 		},

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"testing"
 
@@ -174,6 +175,34 @@ func TestProgramOverBudget(t *testing.T) {
 	// An in-budget program on the same server still runs.
 	if _, _, err := c.Run(ctx, progSpec(smallProgram(), 1)); err != nil {
 		t.Fatalf("in-budget program failed: %v", err)
+	}
+}
+
+// TestRunOverBudgetNotRetried: the over-budget 429 is permanent (it carries
+// no Retry-After), so Run surfaces it after a single submission, estimate
+// body intact, instead of resubmitting a program that cannot be admitted.
+func TestRunOverBudgetNotRetried(t *testing.T) {
+	srv, c := startServer(t, service.Config{Workers: 1, QueueDepth: 4, MaxProgramOps: 1000})
+	big := &program.Program{
+		Version: 1,
+		Name:    "too-big",
+		Cores: []program.CoreProg{
+			{Instrs: []program.Instr{{Op: program.OpStoreBurst, Count: 2000}}},
+		},
+	}
+	_, _, err := c.Run(context.Background(), progSpec(big, 1))
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusTooManyRequests {
+		t.Fatalf("Run err = %v, want the over-budget 429 *client.APIError", err)
+	}
+	var body struct {
+		Estimate program.Estimate `json:"estimate"`
+	}
+	if err := json.Unmarshal(apiErr.Body, &body); err != nil || body.Estimate.Ops != 2000 {
+		t.Fatalf("429 body %q does not carry the 2000-op estimate (%v)", apiErr.Body, err)
+	}
+	if n := srv.Metrics().JobsRejected; n != 1 {
+		t.Fatalf("JobsRejected = %d, want 1: Run resubmitted a permanent rejection", n)
 	}
 }
 

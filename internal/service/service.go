@@ -34,10 +34,6 @@ import (
 
 // Config sizes the service.
 type Config struct {
-	// NodeID names this instance in /healthz and /metrics so cluster
-	// gateways and operators can attribute routing decisions (default
-	// "node-0").
-	NodeID string
 	// Workers is the simulation worker-pool width (default GOMAXPROCS).
 	Workers int
 	// QueueDepth bounds the admission queue (default 64). A full queue
@@ -72,9 +68,6 @@ type Config struct {
 const DefaultCheckpointEvery sim.Time = 100_000
 
 func (c Config) withDefaults() Config {
-	if c.NodeID == "" {
-		c.NodeID = "node-0"
-	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -116,7 +109,7 @@ type Server struct {
 	inflight map[string]*job // cache key -> queued/running job (singleflight)
 	doneIDs  []string        // terminal-job retention ring, oldest first
 	nextID   uint64
-	nQueued  int // per-state gauges for /metrics and /healthz
+	nQueued  int // per-state gauges for /metrics
 	nRunning int
 	draining bool
 	started  bool
@@ -153,24 +146,17 @@ func (s *Server) Start() {
 	}
 }
 
-// StartDrain flips the server into draining mode without waiting: new
-// compute is rejected with 503 + Retry-After (so a gateway reroutes), but
-// queued and in-flight jobs keep running and cache reads keep being served.
-// It is idempotent; Drain adds the wait-for-idle half.
-func (s *Server) StartDrain() {
+// Drain stops admission (submissions get 503 + Retry-After), lets the
+// workers finish every queued and in-flight job, and returns when the pool
+// is idle — the SIGTERM half of graceful shutdown. It is idempotent; ctx
+// bounds the wait.
+func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if !s.draining {
 		s.draining = true
 		s.queue.Close()
 	}
-}
-
-// Drain stops admission (submissions get 503), lets the workers finish
-// every queued and in-flight job, and returns when the pool is idle — the
-// SIGTERM half of graceful shutdown. ctx bounds the wait.
-func (s *Server) Drain(ctx context.Context) error {
-	s.StartDrain()
+	s.mu.Unlock()
 
 	idle := make(chan struct{})
 	go func() {
@@ -183,13 +169,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		return fmt.Errorf("service: drain interrupted: %w", ctx.Err())
 	}
-}
-
-// Draining reports whether the server has stopped admitting jobs.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
 }
 
 // submitOutcome classifies one submission for the HTTP layer.
@@ -257,19 +236,6 @@ func (s *Server) submit(spec JobSpec) (*job, submitOutcome, error) {
 	s.inflight[plan.key] = j
 	s.nQueued++
 	return j, outcomeQueued, nil
-}
-
-// cacheRead serves the node's cache-read endpoint (GET /v1/cache/{hash}):
-// the raw result bytes for a content address, available even while
-// draining so peers can cache-fill from a node on its way out.
-func (s *Server) cacheRead(key string) ([]byte, bool) {
-	body, ok := s.cache.Get(key)
-	if ok {
-		s.metrics.peerReads.Add(1)
-	} else {
-		s.metrics.peerReadMisses.Add(1)
-	}
-	return body, ok
 }
 
 func (s *Server) newJobLocked(spec JobSpec, p plan) *job {

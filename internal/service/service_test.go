@@ -360,3 +360,84 @@ func TestFaultPresetJob(t *testing.T) {
 		t.Fatalf("faulty run: %v", err)
 	}
 }
+
+// TestEvictionCounter: a cache squeezed past capacity reports its
+// evictions, so operators can tell "low hit rate" from "cache too small".
+func TestEvictionCounter(t *testing.T) {
+	_, c := startServer(t, service.Config{Workers: 1, QueueDepth: 16, CacheEntries: 2})
+	ctx := context.Background()
+	for seed := int64(81); seed < 86; seed++ {
+		if _, _, err := c.Run(ctx, smallSpec(seed)); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+	m, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 5 distinct results through a 2-entry LRU: at least 3 evictions.
+	if m.Cache.Evictions < 3 {
+		t.Errorf("evictions = %d, want >= 3", m.Cache.Evictions)
+	}
+}
+
+// TestJobGauges: the queued/running gauges rise while work is in flight
+// and return exactly to zero once the queue empties — a leaked gauge would
+// report a permanently loaded server.
+func TestJobGauges(t *testing.T) {
+	srv, c := startServer(t, service.Config{Workers: 1, QueueDepth: 16})
+	ctx := context.Background()
+
+	// The first job is deliberately slow (scale 3 ≈ 200ms of simulation) so
+	// it pins the single worker while the polls below run: a Submit round
+	// trip itself costs ~15ms (the cache key hashes the generated profile),
+	// so a backlog of instant jobs can fully drain during the submissions.
+	slow := service.JobSpec{Bench: "radix", System: "tsoper", Scale: 3, Seed: 97}
+	st, err := c.Submit(ctx, slow)
+	if err != nil {
+		t.Fatalf("submit slow: %v", err)
+	}
+	ids := []string{st.ID}
+	for i := 0; i < 3; i++ {
+		st, err := c.Submit(ctx, smallSpec(int64(91+i)))
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		ids = append(ids, st.ID)
+	}
+	inFlight := func() int {
+		m := srv.Metrics()
+		return m.JobsQueued + m.JobsRunning
+	}
+	sawLoad := false
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		if inFlight() > 0 {
+			sawLoad = true
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if !sawLoad {
+		t.Error("gauges never showed in-flight work for a 4-deep backlog")
+	}
+	for _, id := range ids {
+		if _, err := c.Wait(ctx, id, 5*time.Millisecond); err != nil {
+			t.Fatalf("wait %s: %v", id, err)
+		}
+	}
+	// Terminal states must return both gauges to zero.
+	waitSettle(t, 2*time.Second, func() bool { return inFlight() == 0 })
+}
+
+func waitSettle(t *testing.T, timeout time.Duration, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for time.Now().Before(deadline) {
+		if cond() {
+			return
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	t.Fatal("condition not reached in time")
+}

@@ -1,7 +1,7 @@
 package service_test
 
 // Graceful drain with a live SSE progress stream: the contract is that
-// StartDrain never truncates an open stream — the subscribed client still
+// Drain never truncates an open stream — the subscribed client still
 // receives every frame through the terminal state event, the connection
 // closes cleanly, and no server goroutine outlives the drain. The whole
 // file is meaningful only under -race (CI runs it that way): a torn drain
@@ -75,8 +75,6 @@ func TestDrainWithActiveSSEStream(t *testing.T) {
 	// Give the stream a moment to attach, then drain while the backlog —
 	// including the streamed job — is still pending.
 	time.Sleep(20 * time.Millisecond)
-	srv.StartDrain()
-
 	dctx, dcancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer dcancel()
 	if err := srv.Drain(dctx); err != nil {
@@ -140,7 +138,6 @@ func TestDrainCompletesStreamedBacklog(t *testing.T) {
 		}(id)
 	}
 
-	srv.StartDrain()
 	dctx, dcancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer dcancel()
 	if err := srv.Drain(dctx); err != nil {
