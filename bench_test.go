@@ -122,7 +122,7 @@ func BenchmarkFigure12(b *testing.B) {
 
 // BenchmarkFigure13 regenerates Figure 13: the AG-size cumulative histogram.
 func BenchmarkFigure13(b *testing.B) {
-	o := harness.Options{Scale: benchScale, Seed: 42, Benchmarks: figureBenches, Parallel: true}
+	o := harness.Options{Scale: benchScale, Seed: 42, Benchmarks: figureBenches}
 	var fig *harness.Fig13
 	for i := 0; i < b.N; i++ {
 		fig = harness.Figure13(o)
@@ -164,7 +164,7 @@ func BenchmarkFigure14(b *testing.B) {
 
 // BenchmarkFigure15 regenerates Figure 15: ocean_cp SFR vs AG behavior.
 func BenchmarkFigure15(b *testing.B) {
-	o := harness.Options{Scale: benchScale, Seed: 42, Parallel: true}
+	o := harness.Options{Scale: benchScale, Seed: 42}
 	var fig *harness.Fig15
 	for i := 0; i < b.N; i++ {
 		fig = harness.Figure15(o)
@@ -175,7 +175,7 @@ func BenchmarkFigure15(b *testing.B) {
 
 // BenchmarkPersistListLength regenerates the §V-B list-length statistics.
 func BenchmarkPersistListLength(b *testing.B) {
-	o := harness.Options{Scale: benchScale, Seed: 42, Benchmarks: figureBenches, Parallel: true}
+	o := harness.Options{Scale: benchScale, Seed: 42, Benchmarks: figureBenches}
 	var l *harness.ListLengths
 	for i := 0; i < b.N; i++ {
 		l = harness.Lists(o)

@@ -21,10 +21,8 @@
 //	    execution, prove the reports identical, write the comparison
 //
 // Sweeps fork each crash point from an incrementally advanced prefix
-// machine by default; -full-replay restores the legacy
-// one-machine-per-point mode (same injections, more simulated cycles).
-// -protocol selects the coherence backend (slc, mesi, or tardis) for the
-// sweep and smoke modes.
+// machine. -protocol selects the coherence backend (slc, mesi, or tardis)
+// for the sweep and smoke modes.
 //
 // Exit status: 0 clean, 1 violations or surviving mutants, 2 usage error.
 package main
@@ -77,7 +75,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	parallel := fs.Int("parallel", 0, "worker count (0 = GOMAXPROCS)")
 	jsonPath := fs.String("json", "", "write the campaign report to this path as JSON")
 	shrink := fs.Bool("shrink", false, "minimize each failing crash point before reporting it")
-	fullReplay := fs.Bool("full-replay", false, "replay every crash point from cycle 0 instead of forking prefix machines (slower; for differential timing)")
 	compareOut := fs.String("compare-out", "", "time prefix-forked vs full-replay sweeps on the pressure config, write the comparison JSON here, and exit")
 	minSpeedup := fs.Float64("min-speedup", 0, "with -compare-out, fail unless prefix forking is at least this many times faster")
 	if err := fs.Parse(argv); err != nil {
@@ -98,7 +95,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 
 	report, err := dispatch(fs, stdout, *bench, *progFlag, *system, *protoFlag, *crashes, *first, *step,
-		*scale, *seed, *strategy, *campaign, *parallel, *shrink, *fullReplay)
+		*scale, *seed, *strategy, *campaign, *parallel, *shrink)
 	var uerr usageError
 	if errors.As(err, &uerr) {
 		fmt.Fprintln(stderr, uerr.Error())
@@ -141,7 +138,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 // dispatch validates the mode arguments and runs the selected campaign.
 func dispatch(fs *flag.FlagSet, stdout io.Writer, bench, programs, system, protocol string, crashes int,
 	first, step uint64, scale float64, seed int64, strategy, campaign string,
-	parallel int, shrink, fullReplay bool) (*crashmc.Report, error) {
+	parallel int, shrink bool) (*crashmc.Report, error) {
 	if crashes <= 0 {
 		return nil, usagef("-crashes must be positive, got %d", crashes)
 	}
@@ -169,7 +166,7 @@ func dispatch(fs *flag.FlagSet, stdout io.Writer, bench, programs, system, proto
 
 	switch campaign {
 	case "":
-		return runSweep(stdout, bench, programs, system, proto, crashes, first, step, scale, seed, strat, parallel, shrink, fullReplay)
+		return runSweep(stdout, bench, programs, system, proto, crashes, first, step, scale, seed, strat, parallel, shrink)
 	case "smoke":
 		points := 50 // x 2 adversaries x 2 systems = 200 injections
 		crashesSet := false
@@ -186,7 +183,6 @@ func dispatch(fs *flag.FlagSet, stdout io.Writer, bench, programs, system, proto
 			Strategy:   crashmc.StrategyEvents,
 			Parallel:   parallel,
 			Shrink:     shrink,
-			FullReplay: fullReplay,
 			Coherence:  proto,
 		})
 		if report != nil {
@@ -203,7 +199,7 @@ func dispatch(fs *flag.FlagSet, stdout io.Writer, bench, programs, system, proto
 // runSweep is the legacy single-cell mode, generalized to comma-separated
 // benchmark/system lists (or workload-VM programs), with the
 // per-crash-point output lines preserved.
-func runSweep(stdout io.Writer, benches, programs, systems string, proto tsoper.Protocol, crashes int, first, step uint64, scale float64, seed int64, strat crashmc.Strategy, parallel int, shrink, fullReplay bool) (*crashmc.Report, error) {
+func runSweep(stdout io.Writer, benches, programs, systems string, proto tsoper.Protocol, crashes int, first, step uint64, scale float64, seed int64, strat crashmc.Strategy, parallel int, shrink bool) (*crashmc.Report, error) {
 	var profiles []trace.Profile
 	var progs []*program.Program
 	if programs != "" {
@@ -250,7 +246,6 @@ func runSweep(stdout io.Writer, benches, programs, systems string, proto tsoper.
 		Parallel:   parallel,
 		Shrink:     shrink,
 		Detail:     true,
-		FullReplay: fullReplay,
 		Coherence:  proto,
 	})
 	if err != nil {

@@ -31,14 +31,15 @@ func TestExitCodes(t *testing.T) {
 		{name: "program with campaign", argv: []string{"-program", "radix", "-campaign", "smoke"}, want: 2, stderr: "sweep mode"},
 		{name: "non-strict system", argv: []string{"-system", "bsp"}, want: 2, stderr: "strict system"},
 		{name: "compare with campaign", argv: []string{"-compare-out", "x.json", "-campaign", "smoke"}, want: 2, stderr: "its own mode"},
+		// Retired flag, paired with a 1-point sweep that exits 0 on its own.
+		{
+			name: "retired full-replay flag",
+			argv: []string{"-bench", "radix", "-system", "tsoper", "-crashes", "1", "-scale", "0.05", "-full-replay"},
+			want: 2, stderr: "not defined: -full-replay",
+		},
 		{
 			name: "clean sweep",
 			argv: []string{"-bench", "radix", "-system", "tsoper", "-crashes", "2", "-scale", "0.05"},
-			want: 0, slow: true,
-		},
-		{
-			name: "clean full-replay sweep",
-			argv: []string{"-bench", "radix", "-system", "tsoper", "-crashes", "2", "-scale", "0.05", "-full-replay"},
 			want: 0, slow: true,
 		},
 		{

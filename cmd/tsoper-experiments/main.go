@@ -33,7 +33,6 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/machine"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -48,10 +47,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	scale := fs.Float64("scale", 0.5, "workload scale factor (> 0)")
 	seed := fs.Int64("seed", 42, "workload seed")
 	benches := fs.String("bench", "", "comma-separated benchmark subset (default: all 22)")
-	serial := fs.Bool("serial", false, "disable parallel simulation")
-	workers := fs.Int("workers", 0, "simulation worker count (0 = auto: GOMAXPROCS, or 1 with -serial)")
+	workers := fs.Int("workers", 0, "simulation worker count (0 = GOMAXPROCS; output does not depend on it)")
 	artifacts := fs.String("artifacts", "", "also write each experiment's output to this directory")
-	scheduler := fs.String("scheduler", "wheel", "event-queue implementation: wheel or heap")
 	protocol := fs.String("protocol", "slc", "coherence protocol for the figure/ablation experiments: slc, mesi, or tardis")
 	protocolsJSON := fs.String("protocols-json", "", "with -exp protocols, also write the bake-off as benchjson-style JSON to this path")
 	if err := fs.Parse(argv); err != nil {
@@ -67,16 +64,15 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if *scale <= 0 {
 		return usageErr("-scale must be positive, got %g", *scale)
 	}
-	sched, err := sim.ParseSchedulerKind(*scheduler)
-	if err != nil {
-		return usageErr("%v", err)
-	}
 	proto, err := machine.ParseCoherenceKind(*protocol)
 	if err != nil {
 		return usageErr("%v", err)
 	}
-	o := harness.Options{Scale: *scale, Seed: *seed, Parallel: !*serial, Workers: *workers, Scheduler: sched, Protocol: proto}
+	o := harness.Options{Scale: *scale, Seed: *seed, Workers: *workers, Protocol: proto}
 
+	// writeErr records a failed -protocols-json write; the run still prints
+	// the bake-off, then exits 1.
+	var writeErr error
 	known := map[string]func(harness.Options) string{
 		"tableI":   func(harness.Options) string { return harness.TableIText() },
 		"protocol": func(harness.Options) string { return harness.ProtocolComplexityText() },
@@ -96,7 +92,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			bake := harness.ProtocolBakeoff(o)
 			if *protocolsJSON != "" {
 				if err := bake.WriteBenchJSONFile(*protocolsJSON); err != nil {
-					return fmt.Sprintf("%s\nprotocols-json: %v", bake, err)
+					writeErr = fmt.Errorf("protocols-json: %w", err)
 				}
 			}
 			return bake.String()
@@ -145,6 +141,10 @@ func run(argv []string, stdout, stderr io.Writer) int {
 				fmt.Fprintln(stderr, err)
 				return 1
 			}
+		}
+		if writeErr != nil {
+			fmt.Fprintln(stderr, writeErr)
+			return 1
 		}
 	}
 	return 0

@@ -10,6 +10,7 @@ import (
 
 // TestExitCodes pins the CLI contract: 0 clean, 1 runtime failure, 2 usage.
 func TestExitCodes(t *testing.T) {
+	unwritable := filepath.Join(t.TempDir(), "no-such-dir", "p.json")
 	cases := []struct {
 		name   string
 		argv   []string
@@ -20,11 +21,18 @@ func TestExitCodes(t *testing.T) {
 	}{
 		{name: "bad flag", argv: []string{"-nonsense"}, want: 2},
 		{name: "non-positive scale", argv: []string{"-scale", "0"}, want: 2, stderr: "-scale must be positive"},
-		{name: "unknown scheduler", argv: []string{"-scheduler", "abacus"}, want: 2},
 		{name: "unknown protocol", argv: []string{"-protocol", "dragon"}, want: 2, stderr: "unknown coherence protocol"},
 		{name: "unknown experiment", argv: []string{"-exp", "fig99"}, want: 2, stderr: "unknown experiment"},
 		{name: "unknown benchmark", argv: []string{"-exp", "fig11", "-bench", "doom"}, want: 2, stderr: "unknown benchmark"},
 		{name: "tableI only", argv: []string{"-exp", "tableI"}, want: 0, stdout: "==== tableI"},
+		// Retired flags: each paired with -exp tableI, which exits 0 on its own.
+		{name: "retired scheduler flag", argv: []string{"-scheduler", "heap", "-exp", "tableI"}, want: 2, stderr: "not defined: -scheduler"},
+		{name: "retired serial flag", argv: []string{"-serial", "-exp", "tableI"}, want: 2, stderr: "not defined: -serial"},
+		{
+			name: "unwritable protocols-json",
+			argv: []string{"-exp", "protocols", "-scale", "0.02", "-bench", "radix", "-protocols-json", unwritable},
+			want: 1, stderr: "protocols-json:", stdout: "==== protocols",
+		},
 		{
 			name: "small fig11 run",
 			argv: []string{"-exp", "fig11", "-bench", "radix", "-scale", "0.02"},

@@ -3,15 +3,16 @@
 // across harvested crash points and interleaving perturbations, asserting
 // soundness (every reached durable outcome is allowed), coverage (every
 // allowed outcome is reached), and checker agreement — gated across both
-// event schedulers (byte-identical results) and runtime fault presets.
+// event schedulers (the timing wheel and the reference heap, whose results
+// must be byte-identical) and runtime fault presets.
 //
 // Modes:
 //
 //	tsoper-litmus -corpus -json results/litmus.json
 //	    the CI gate: full corpus x {wheel, heap} x fault presets, plus
 //	    mutation testing of the oracle itself
-//	tsoper-litmus -test mp -scheduler wheel
-//	    one test, one scheduler
+//	tsoper-litmus -test mp -faults none -no-mutation
+//	    one test on both schedulers, no fault presets
 //	tsoper-litmus -corpus -protocol tardis -faults none
 //	    the corpus gate on a non-default coherence backend
 //	tsoper-litmus -test mp -fault torn-group -shrink
@@ -48,10 +49,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tsoper-litmus", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		corpus      = fs.Bool("corpus", false, "run the full corpus gate (schedulers x fault presets + mutation)")
+		corpus      = fs.Bool("corpus", false, "run the full corpus gate (both schedulers x fault presets + mutation)")
 		testName    = fs.String("test", "", "run a single corpus test by name")
 		list        = fs.Bool("list", false, "list the corpus tests")
-		scheduler   = fs.String("scheduler", "both", "event scheduler: wheel, heap, or both (cross-checked byte-identical)")
 		faults      = fs.String("faults", defaultPresets, "comma-separated fault presets to gate under (\"none\" disables)")
 		fault       = fs.String("fault", "", "inject a persistency CrashFault into every recovered state (mutation debugging)")
 		mutation    = fs.Bool("mutation", false, "with -corpus: also run oracle mutation testing (default on)")
@@ -88,19 +88,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	var schedulers []sim.SchedulerKind
-	switch *scheduler {
-	case "both":
-		schedulers = []sim.SchedulerKind{sim.SchedulerWheel, sim.SchedulerHeap}
-	default:
-		kind, err := sim.ParseSchedulerKind(*scheduler)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			fs.Usage()
-			return 2
-		}
-		schedulers = []sim.SchedulerKind{kind}
-	}
 	var presets []faultplan.Spec
 	if *faults != "none" && *faults != "" {
 		for _, name := range strings.Split(*faults, ",") {
@@ -156,11 +143,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 
 	// Axis 1: full conformance under each scheduler, with cross-scheduler
-	// byte-identity when both run.
+	// byte-identity.
+	schedulers := []sim.SchedulerKind{sim.SchedulerWheel, sim.SchedulerHeap}
 	perScheduler := make([]map[string][]byte, len(schedulers))
 	for si, kind := range schedulers {
 		perScheduler[si] = map[string][]byte{}
-		label := schedName(kind)
+		label := kind.String()
 		rep.Axes = append(rep.Axes, label)
 		for _, t := range tests {
 			o := litmus.Default()
@@ -193,13 +181,11 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-	if len(schedulers) == 2 {
-		for _, t := range tests {
-			a, b := perScheduler[0][t.Name], perScheduler[1][t.Name]
-			if string(a) != string(b) {
-				fail("[scheduler-equivalence] %s: %s and %s explorations diverge:\n  %s\n  %s",
-					t.Name, schedName(schedulers[0]), schedName(schedulers[1]), a, b)
-			}
+	for _, t := range tests {
+		a, b := perScheduler[0][t.Name], perScheduler[1][t.Name]
+		if string(a) != string(b) {
+			fail("[scheduler-equivalence] %s: %s and %s explorations diverge:\n  %s\n  %s",
+				t.Name, schedulers[0], schedulers[1], a, b)
 		}
 	}
 
@@ -259,13 +245,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-func schedName(k sim.SchedulerKind) string {
-	if k == sim.SchedulerHeap {
-		return "heap"
-	}
-	return "wheel"
 }
 
 // writeCorpusFiles regenerates the golden corpus from the reference model.

@@ -23,25 +23,26 @@ func TestExitCodes(t *testing.T) {
 	}{
 		{name: "bad flag", argv: []string{"-nonsense"}, want: 2},
 		{name: "stray arguments", argv: []string{"stray"}, want: 2, stderr: "unexpected arguments"},
-		{name: "unknown scheduler", argv: []string{"-scheduler", "fifo"}, want: 2},
 		{name: "unknown preset", argv: []string{"-faults", "blizzard"}, want: 2, stderr: "unknown fault preset"},
 		{name: "unknown protocol", argv: []string{"-protocol", "dragon"}, want: 2, stderr: "unknown coherence protocol"},
 		{name: "unknown crash fault", argv: []string{"-fault", "gremlin"}, want: 2, stderr: "unknown crash fault"},
 		{name: "unknown test", argv: []string{"-test", "zz"}, want: 2, stderr: "unknown corpus test"},
 		{name: "list", argv: []string{"-list"}, want: 0},
+		// Retired flag, paired with -list, which exits 0 on its own.
+		{name: "retired scheduler flag", argv: []string{"-scheduler", "both", "-list"}, want: 2, stderr: "not defined: -scheduler"},
 		{
 			name: "single test conforms",
-			argv: []string{"-test", "mp", "-scheduler", "wheel", "-faults", "none", "-no-mutation"},
+			argv: []string{"-test", "mp", "-faults", "none", "-no-mutation"},
 			want: 0, slow: true,
 		},
 		{
 			name: "single test conforms on tardis",
-			argv: []string{"-test", "mp", "-scheduler", "wheel", "-faults", "none", "-no-mutation", "-protocol", "tardis"},
+			argv: []string{"-test", "mp", "-faults", "none", "-no-mutation", "-protocol", "tardis"},
 			want: 0, slow: true,
 		},
 		{
 			name: "injected fault fails",
-			argv: []string{"-test", "epoch-atomic", "-scheduler", "wheel", "-faults", "none", "-fault", "torn-group", "-no-mutation"},
+			argv: []string{"-test", "epoch-atomic", "-faults", "none", "-fault", "torn-group", "-no-mutation"},
 			want: 1, slow: true, stderr: "violation",
 		},
 	}
@@ -72,7 +73,7 @@ func TestJSONReport(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "litmus.json")
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-test", "sb", "-scheduler", "both", "-faults", "none", "-no-mutation", "-json", path},
+	code := run([]string{"-test", "sb", "-faults", "none", "-no-mutation", "-json", path},
 		&stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit %d\nstderr: %s", code, stderr.String())

@@ -39,7 +39,6 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/machine"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/tsoper"
 )
 
@@ -58,12 +57,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	seed := fs.Int64("seed", 42, "workload seed")
 	list := fs.Bool("list", false, "list benchmarks, programs, and systems, then exit")
 	full := fs.Bool("stats", false, "dump the full metric registry")
-	saveTrace := fs.String("save-trace", "", "write the generated workload trace to this file")
-	loadTrace := fs.String("load-trace", "", "replay a workload trace from this file instead of generating")
 	traceOut := fs.String("trace-out", "", "write a Perfetto timeline trace (JSON) to this file")
 	metricsOut := fs.String("metrics-out", "", "write the unified metrics snapshot (JSON) to this file")
 	metricsDiff := fs.Bool("metrics-diff", false, "diff two metrics snapshots given as positional args, then exit")
-	schedFlag := fs.String("scheduler", "wheel", "event scheduler: wheel or heap (reference)")
 	protoFlag := fs.String("protocol", "slc", "coherence protocol: slc, mesi, or tardis")
 	ckptEvery := fs.Uint64("checkpoint-every", 0, "checkpoint the run every N simulation cycles (0 = off)")
 	ckptOut := fs.String("checkpoint-out", "", "write the run's last checkpoint blob to this file (requires -checkpoint-every)")
@@ -80,27 +76,14 @@ func run(argv []string, stdout, stderr io.Writer) int {
 
 	// Usage validation, mirroring tsoper-crash: malformed invocations exit
 	// 2 before any work happens.
-	if *saveTrace != "" && *loadTrace != "" {
-		return usageErr("-save-trace and -load-trace are mutually exclusive (replaying never generates)")
-	}
 	if *scale <= 0 {
 		return usageErr("-scale must be positive, got %g", *scale)
 	}
 	if *estimate && *progArg == "" {
 		return usageErr("-estimate requires -program")
 	}
-	if *progArg != "" && (*saveTrace != "" || *loadTrace != "") {
-		return usageErr("-program is incompatible with -save-trace/-load-trace (programs are already portable workloads)")
-	}
 	if *ckptOut != "" && *ckptEvery == 0 {
 		return usageErr("-checkpoint-out requires -checkpoint-every")
-	}
-	if (*ckptEvery != 0 || *resume != "") && *loadTrace != "" {
-		return usageErr("-checkpoint-every/-resume are incompatible with -load-trace (resume re-derives the workload from bench/program + seed)")
-	}
-	sched, err := tsoper.ParseScheduler(*schedFlag)
-	if err != nil {
-		return usageErr("%v", err)
 	}
 	proto, err := tsoper.ParseProtocol(*protoFlag)
 	if err != nil {
@@ -192,7 +175,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 
 	var r *tsoper.Results
-	opts := tsoper.RunOptions{Scale: *scale, Seed: *seed, Scheduler: sched, Protocol: proto, Config: cfgOverride}
+	opts := tsoper.RunOptions{Scale: *scale, Seed: *seed, Protocol: proto, Config: cfgOverride}
 	// Keep the last execution-phase blob — the useful one to resume from
 	// (drain/done blobs replay the whole run anyway). Fall back to the very
 	// last blob when the run finished inside the first stride.
@@ -214,18 +197,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 		opts.ResumeFrom = blob
 	}
-	switch {
-	case *loadTrace != "":
-		r, err = runSavedTrace(*loadTrace, kind, sched, proto, cfgOverride)
-	case prog != nil:
+	if prog != nil {
 		r, err = tsoper.RunProgram(prog, kind, opts)
-	default:
-		if *saveTrace != "" {
-			if err := saveWorkload(p, *scale, *seed, *saveTrace); err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
-			}
-		}
+	} else {
 		r, err = tsoper.Run(p, kind, opts)
 	}
 	if err != nil {
@@ -276,47 +250,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprint(stdout, r.Set.String())
 	}
 	return 0
-}
-
-// saveWorkload generates and stores the exact workload the run would use.
-func saveWorkload(p tsoper.Profile, scale float64, seed int64, path string) error {
-	cfg := tsoper.TableI(tsoper.TSOPER)
-	w := tsoper.Generate(p.Scale(scale), cfg.Cores, seed)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return w.Save(f)
-}
-
-// runSavedTrace replays a stored workload under the chosen system.
-func runSavedTrace(path string, kind tsoper.System, sched tsoper.Scheduler, proto tsoper.Protocol, override *tsoper.Config) (*tsoper.Results, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	w, err := trace.Load(f)
-	if err != nil {
-		return nil, err
-	}
-	cfg := machine.TableI(kind)
-	if override != nil {
-		cfg = *override
-	}
-	cfg.Cores = len(w.Cores)
-	if sched != tsoper.SchedulerWheel {
-		cfg.Scheduler = sched
-	}
-	if proto != tsoper.ProtocolSLC {
-		cfg.Coherence = proto
-	}
-	m, err := machine.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return m.Run(w), nil
 }
 
 // writeFile creates path and streams render into it.

@@ -37,21 +37,9 @@ type Entry[T any] struct {
 	Data T
 	// lru is a per-set timestamp: larger = more recently used.
 	lru uint64
-	// pinned entries are never chosen as victims (e.g. lines whose atomic
-	// group is mid-persist).
-	pinned bool
 	// nextFree chains the cache's free list while the entry is not resident.
 	nextFree *Entry[T]
 }
-
-// Pin prevents the entry from being selected as an eviction victim.
-func (e *Entry[T]) Pin() { e.pinned = true }
-
-// Unpin re-enables eviction.
-func (e *Entry[T]) Unpin() { e.pinned = false }
-
-// Pinned reports whether the entry is pinned.
-func (e *Entry[T]) Pinned() bool { return e.pinned }
 
 // Cache is a set-associative array with LRU replacement.
 type Cache[T any] struct {
@@ -110,14 +98,10 @@ func (c *Cache[T]) Lookup(l mem.Line) *Entry[T] {
 // Peek returns the entry without affecting recency or hit counters.
 func (c *Cache[T]) Peek(l mem.Line) *Entry[T] { return c.index[l] }
 
-// Insert adds line l, evicting an unpinned LRU victim from its set if the
-// set is full. It returns the new entry and the victim (nil if none).
-// Inserting a line that is already resident panics: callers must Lookup
-// first — a double insert is always a protocol bug.
-//
-// If every entry in the set is pinned, Insert returns (nil, nil) and the
-// caller must retry later (this back-pressure is what lets atomic groups
-// finish persisting before their lines can be displaced).
+// Insert adds line l, evicting the LRU victim from its set if the set is
+// full. It returns the new entry and the victim (nil if none). Inserting a
+// line that is already resident panics: callers must Lookup first — a
+// double insert is always a protocol bug.
 func (c *Cache[T]) Insert(l mem.Line, data T) (entry, victim *Entry[T]) {
 	if _, ok := c.index[l]; ok {
 		panic(fmt.Sprintf("cache: double insert of %v", l))
@@ -131,7 +115,6 @@ func (c *Cache[T]) Insert(l mem.Line, data T) (entry, victim *Entry[T]) {
 	if e != nil {
 		c.free = e.nextFree
 		e.nextFree = nil
-		e.pinned = false
 	} else {
 		if len(c.slab) == 0 {
 			c.slab = make([]Entry[T], 64)
@@ -141,11 +124,6 @@ func (c *Cache[T]) Insert(l mem.Line, data T) (entry, victim *Entry[T]) {
 	}
 	if len(set) >= c.geom.Ways {
 		victim = c.lruVictim(set)
-		if victim == nil {
-			e.nextFree = c.free
-			c.free = e
-			return nil, nil // all pinned
-		}
 		c.removeEntry(si, victim)
 	}
 	c.tick++
@@ -158,9 +136,6 @@ func (c *Cache[T]) Insert(l mem.Line, data T) (entry, victim *Entry[T]) {
 func (c *Cache[T]) lruVictim(set []*Entry[T]) *Entry[T] {
 	var victim *Entry[T]
 	for _, e := range set {
-		if e.pinned {
-			continue
-		}
 		if victim == nil || e.lru < victim.lru {
 			victim = e
 		}
@@ -171,19 +146,13 @@ func (c *Cache[T]) lruVictim(set []*Entry[T]) *Entry[T] {
 // Victim returns the entry Insert would evict to make room for line l, or
 // nil if the set still has a free way. Callers that must relocate victims
 // (e.g. into an eviction buffer) can inspect and remove the victim before
-// inserting. If every entry in the set is pinned, Victim returns nil too —
-// use SetFull to distinguish that case.
+// inserting.
 func (c *Cache[T]) Victim(l mem.Line) *Entry[T] {
 	si := c.setOf(l)
 	if len(c.sets[si]) < c.geom.Ways {
 		return nil
 	}
 	return c.lruVictim(c.sets[si])
-}
-
-// SetFull reports whether the set holding l has no free way.
-func (c *Cache[T]) SetFull(l mem.Line) bool {
-	return len(c.sets[c.setOf(l)]) >= c.geom.Ways
 }
 
 // Remove deletes line l, returning its entry (nil if absent).

@@ -57,32 +57,6 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-func TestPinnedNotEvicted(t *testing.T) {
-	c := New[int](Geometry{SizeBytes: 128, Ways: 2})
-	e0, _ := c.Insert(mem.Line(0), 0)
-	e1, _ := c.Insert(mem.Line(1), 1)
-	e0.Pin()
-	_, victim := c.Insert(mem.Line(2), 2)
-	if victim == nil || victim.Line != mem.Line(1) {
-		t.Fatalf("victim=%+v, want unpinned line 1", victim)
-	}
-	_ = e1
-	// Now lines 0 (pinned) and 2 are resident; pin 2 as well.
-	c.Peek(mem.Line(2)).Pin()
-	e, v := c.Insert(mem.Line(3), 3)
-	if e != nil || v != nil {
-		t.Fatal("insert into fully pinned set must fail")
-	}
-	if !e0.Pinned() {
-		t.Fatal("pin flag lost")
-	}
-	e0.Unpin()
-	e, _ = c.Insert(mem.Line(3), 3)
-	if e == nil {
-		t.Fatal("insert after unpin should succeed")
-	}
-}
-
 func TestDoubleInsertPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

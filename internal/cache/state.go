@@ -9,7 +9,8 @@ import (
 
 // EncodeState writes the cache's logical contents deterministically: hit
 // counters, the LRU clock, and every resident line in address order with
-// its recency stamp, pin bit, and a caller-encoded payload. Set membership
+// its recency stamp, a reserved zero byte (the retired pin bit, kept so
+// blobs stay byte-identical), and a caller-encoded payload. Set membership
 // and free-list linkage are derivable (geometry is config) and excluded.
 func (c *Cache[T]) EncodeState(w *ckpt.Writer, payload func(*ckpt.Writer, T)) {
 	w.U64(c.Hits)
@@ -25,7 +26,7 @@ func (c *Cache[T]) EncodeState(w *ckpt.Writer, payload func(*ckpt.Writer, T)) {
 		e := c.index[mem.Line(l)]
 		w.U64(l)
 		w.U64(e.lru)
-		w.Bool(e.pinned)
+		w.Bool(false)
 		payload(w, e.Data)
 	}
 }

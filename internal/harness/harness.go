@@ -26,13 +26,9 @@ type Options struct {
 	Seed int64
 	// Benchmarks restricts the run (nil = the full 22-benchmark roster).
 	Benchmarks []string
-	// Parallel runs benchmark×system simulations concurrently.
-	Parallel bool
-	// Workers caps the simulation worker count when positive; it overrides
-	// Parallel (Workers 1 forces serial, Workers n runs n-wide).
+	// Workers is the simulation worker count (<= 0 means GOMAXPROCS).
+	// Results do not depend on it.
 	Workers int
-	// Scheduler selects the engine's event queue (default the timing wheel).
-	Scheduler sim.SchedulerKind
 	// Protocol selects the coherence backend (default SLC). Applied after
 	// any explicit Config, so it also overrides its Coherence field.
 	Protocol machine.CoherenceKind
@@ -55,9 +51,9 @@ type Options struct {
 	ResumeFrom []byte
 }
 
-// DefaultOptions returns full-scale, deterministic, parallel options.
+// DefaultOptions returns full-scale, deterministic options.
 func DefaultOptions() Options {
-	return Options{Scale: 1.0, Seed: 42, Parallel: true}
+	return Options{Scale: 1.0, Seed: 42}
 }
 
 func (o Options) benchmarks() []trace.Profile {
@@ -109,9 +105,6 @@ func RunOneChecked(bench trace.Profile, kind machine.SystemKind, o Options) (*ma
 // arms the stall watchdog, bounding how long a wedged simulation can hold a
 // worker.
 func RunConfigChecked(bench trace.Profile, cfg machine.Config, o Options) (*machine.Results, error) {
-	if o.Scheduler != sim.SchedulerWheel {
-		cfg.Scheduler = o.Scheduler
-	}
 	if o.Protocol != machine.CoherenceSLC {
 		cfg.Coherence = o.Protocol
 	}
@@ -119,12 +112,14 @@ func RunConfigChecked(bench trace.Profile, cfg machine.Config, o Options) (*mach
 		cfg.WatchdogHorizon = o.Timeout
 	}
 	w := trace.Generate(bench.Scale(o.scale()), cfg.Cores, o.Seed)
-	return runWorkload(cfg, w, o)
+	return RunWorkload(cfg, w, o)
 }
 
-// runWorkload drives one workload on a fresh or checkpoint-restored
-// machine, emitting periodic checkpoints when asked.
-func runWorkload(cfg machine.Config, w *trace.Workload, o Options) (*machine.Results, error) {
+// RunWorkload drives one workload on a fresh or checkpoint-restored
+// machine, emitting periodic checkpoints when asked (Options.CheckpointEvery,
+// OnCheckpoint, ResumeFrom; the other fields are ignored). Errors come back
+// unwrapped, as the machine reports them.
+func RunWorkload(cfg machine.Config, w *trace.Workload, o Options) (*machine.Results, error) {
 	var m *machine.Machine
 	var err error
 	if len(o.ResumeFrom) > 0 {
@@ -133,7 +128,7 @@ func runWorkload(cfg machine.Config, w *trace.Workload, o Options) (*machine.Res
 		m.Start(w)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("harness: %w", err)
+		return nil, err
 	}
 	if o.CheckpointEvery == 0 {
 		if _, err := m.Advance(sim.MaxTime); err != nil {
@@ -150,7 +145,7 @@ func runWorkload(cfg machine.Config, w *trace.Workload, o Options) (*machine.Res
 		if o.OnCheckpoint != nil {
 			blob, err := m.Checkpoint()
 			if err != nil {
-				return nil, fmt.Errorf("harness: %w", err)
+				return nil, err
 			}
 			o.OnCheckpoint(blob)
 		}
@@ -167,8 +162,8 @@ type Cell struct {
 	System machine.SystemKind
 }
 
-// RunMatrix simulates every benchmark × system pair, optionally in
-// parallel (each machine is fully independent and deterministic).
+// RunMatrix simulates every benchmark × system pair on Options.Workers
+// workers (each machine is fully independent and deterministic).
 func RunMatrix(benches []trace.Profile, systems []machine.SystemKind, o Options) map[string]map[machine.SystemKind]*machine.Results {
 	type job struct {
 		cell Cell
@@ -180,12 +175,9 @@ func RunMatrix(benches []trace.Profile, systems []machine.SystemKind, o Options)
 			jobs = append(jobs, job{cell: Cell{Bench: b, System: s}})
 		}
 	}
-	workers := 1
-	if o.Parallel {
+	workers := o.Workers
+	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Workers > 0 {
-		workers = o.Workers
 	}
 	var wg sync.WaitGroup
 	ch := make(chan int)

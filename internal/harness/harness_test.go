@@ -10,7 +10,7 @@ import (
 // tiny returns options that keep harness tests fast while exercising every
 // code path: two contrasting benchmarks at a small scale.
 func tiny() Options {
-	return Options{Scale: 0.08, Seed: 3, Benchmarks: []string{"radix", "dedup"}, Parallel: true}
+	return Options{Scale: 0.08, Seed: 3, Benchmarks: []string{"radix", "dedup"}}
 }
 
 func TestRunMatrixShape(t *testing.T) {
@@ -33,9 +33,9 @@ func TestRunMatrixShape(t *testing.T) {
 
 func TestParallelMatchesSerial(t *testing.T) {
 	o := tiny()
-	o.Parallel = true
+	o.Workers = 0 // GOMAXPROCS
 	rp := RunMatrix(o.benchmarks(), []machine.SystemKind{machine.TSOPER}, o)
-	o.Parallel = false
+	o.Workers = 1
 	rs := RunMatrix(o.benchmarks(), []machine.SystemKind{machine.TSOPER}, o)
 	for name := range rp {
 		if rp[name][machine.TSOPER].Cycles != rs[name][machine.TSOPER].Cycles {
@@ -267,7 +267,7 @@ func TestProtocolComplexityText(t *testing.T) {
 
 func TestDefaultOptions(t *testing.T) {
 	o := DefaultOptions()
-	if o.Scale != 1.0 || !o.Parallel {
+	if o.Scale != 1.0 {
 		t.Fatalf("defaults: %+v", o)
 	}
 	if len(o.benchmarks()) != 22 {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/program"
-	"repro/internal/sim"
 )
 
 // envFor maps a machine configuration onto the program compiler's target
@@ -14,18 +13,10 @@ func envFor(cfg machine.Config) program.Env {
 	return program.Env{Cores: cfg.Cores, Ranks: cfg.NVM.Ranks}
 }
 
-// RunProgram simulates a workload program under one system with the Table I
-// configuration. Options.Scale is ignored — a program's size is spelled out
-// by its instructions (the profile instruction carries its own scale).
-func RunProgram(p *program.Program, kind machine.SystemKind, o Options) *machine.Results {
-	r, err := RunProgramConfigChecked(p, machine.TableI(kind), o)
-	if err != nil {
-		panic(fmt.Sprintf("harness: %v", err))
-	}
-	return r
-}
-
-// RunProgramChecked is the job-shaped RunProgram.
+// RunProgramChecked simulates a workload program under one system with the
+// Table I configuration. Options.Scale is ignored — a program's size is
+// spelled out by its instructions (the profile instruction carries its own
+// scale).
 func RunProgramChecked(p *program.Program, kind machine.SystemKind, o Options) (*machine.Results, error) {
 	return RunProgramConfigChecked(p, machine.TableI(kind), o)
 }
@@ -33,11 +24,8 @@ func RunProgramChecked(p *program.Program, kind machine.SystemKind, o Options) (
 // RunProgramConfigChecked compiles the program for the configuration's
 // shape and runs it, returning validation, compile, configuration, and
 // wedged-run failures as errors. Determinism matches the profile path: the
-// result is a pure function of (program, config, seed, scheduler).
+// result is a pure function of (program, config, seed).
 func RunProgramConfigChecked(p *program.Program, cfg machine.Config, o Options) (*machine.Results, error) {
-	if o.Scheduler != sim.SchedulerWheel {
-		cfg.Scheduler = o.Scheduler
-	}
 	if o.Timeout > 0 {
 		cfg.WatchdogHorizon = o.Timeout
 	}
@@ -45,7 +33,7 @@ func RunProgramConfigChecked(p *program.Program, cfg machine.Config, o Options) 
 	if err != nil {
 		return nil, fmt.Errorf("harness: %w", err)
 	}
-	return runWorkload(cfg, w, o)
+	return RunWorkload(cfg, w, o)
 }
 
 // EstimateProgram is the admission-control view: the program's cost for the

@@ -1,8 +1,6 @@
 package machine
 
 import (
-	"fmt"
-
 	"repro/internal/coherence/slc"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -163,9 +161,7 @@ func (m *Machine) insertFrame(cacheID int, line mem.Line, node *slc.Node, then f
 			m.applyUpdate(m.dir.List(v.Line).RemoveClean(vnode))
 		}
 	}
-	if e, _ := pc.arr.Insert(line, node); e == nil {
-		panic(fmt.Sprintf("machine: cache %d set for %v unexpectedly unfillable", cacheID, line))
-	}
+	pc.arr.Insert(line, node)
 	then()
 }
 

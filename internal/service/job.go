@@ -11,14 +11,13 @@ import (
 	"repro/internal/harness"
 	"repro/internal/machine"
 	"repro/internal/program"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
 // JobSpec is the wire form of one simulation request. Zero values mean the
-// defaults the one-shot CLIs use (full scale, seed 42, Table I config,
-// wheel scheduler, no faults), so the smallest useful spec is
+// defaults the one-shot CLIs use (full scale, seed 42, Table I config, no
+// faults), so the smallest useful spec is
 // {"bench":"radix","system":"tsoper"}. A spec names either a benchmark
 // profile (Bench) or carries an inline workload program (Program), never
 // both.
@@ -36,23 +35,19 @@ type JobSpec struct {
 	Scale float64 `json:"scale,omitempty"`
 	// Seed drives workload generation (0 = 42, the CLI default).
 	Seed int64 `json:"seed,omitempty"`
-	// Scheduler picks the event queue ("wheel" or "heap"). Execution-only:
-	// the two dispatch identically, so it does not enter the cache key.
-	Scheduler string `json:"scheduler,omitempty"`
 	// FaultPreset names a faultplan preset to inject (see faultplan).
 	FaultPreset string `json:"fault_preset,omitempty"`
 }
 
 // plan is a resolved, runnable spec plus its content address.
 type plan struct {
-	bench     trace.Profile
-	prog      *program.Program // non-nil for program jobs
-	est       program.Estimate // program jobs: admission cost
-	cfg       machine.Config
-	scale     float64
-	seed      int64
-	scheduler sim.SchedulerKind
-	key       string
+	bench trace.Profile
+	prog  *program.Program // non-nil for program jobs
+	est   program.Estimate // program jobs: admission cost
+	cfg   machine.Config
+	scale float64
+	seed  int64
+	key   string
 }
 
 // keyDoc is the cache key's preimage: everything that determines the
@@ -114,10 +109,6 @@ func (s JobSpec) resolve() (plan, error) {
 	if seed == 0 {
 		seed = 42
 	}
-	sched, err := sim.ParseSchedulerKind(s.Scheduler)
-	if err != nil {
-		return plan{}, fmt.Errorf("service: %w", err)
-	}
 
 	cfg := machine.TableI(kind)
 	if s.FaultPreset != "" {
@@ -138,13 +129,13 @@ func (s JobSpec) resolve() (plan, error) {
 		if err != nil {
 			return plan{}, err
 		}
-		return plan{prog: s.Program, est: est, cfg: cfg, scale: scale, seed: seed, scheduler: sched, key: key}, nil
+		return plan{prog: s.Program, est: est, cfg: cfg, scale: scale, seed: seed, key: key}, nil
 	}
 	key, err := cacheKey(p.Scale(scale), seed, cfg)
 	if err != nil {
 		return plan{}, err
 	}
-	return plan{bench: p, cfg: cfg, scale: scale, seed: seed, scheduler: sched, key: key}, nil
+	return plan{bench: p, cfg: cfg, scale: scale, seed: seed, key: key}, nil
 }
 
 // CacheKey returns the spec's content address — the key its result is

@@ -321,10 +321,9 @@ func (s *Server) runJob(j *job) {
 	cfg := j.plan.cfg
 	cfg.Telemetry = telemetry.NewBus(sink)
 	opts := harness.Options{
-		Scale:     j.plan.scale,
-		Seed:      j.plan.seed,
-		Scheduler: j.plan.scheduler,
-		Timeout:   s.cfg.JobTimeout,
+		Scale:   j.plan.scale,
+		Seed:    j.plan.seed,
+		Timeout: s.cfg.JobTimeout,
 	}
 	var ckptBlob []byte
 	if j.plan.prog != nil {

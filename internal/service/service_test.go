@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -83,35 +84,6 @@ func TestResultMatchesDirectRunAndCaches(t *testing.T) {
 	}
 	if !bytes.Equal(body, body2) {
 		t.Fatal("cached result bytes differ from the original run")
-	}
-}
-
-// heap vs wheel scheduler are execution details: same key, one simulation,
-// byte-identical results.
-func TestSchedulerDoesNotSplitCache(t *testing.T) {
-	_, c := startServer(t, service.Config{Workers: 2, QueueDepth: 8})
-	ctx := context.Background()
-
-	wheel := smallSpec(11)
-	heap := smallSpec(11)
-	heap.Scheduler = "heap"
-	bodyW, _, err := c.Run(ctx, wheel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stH, err := c.Submit(ctx, heap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stH.CacheHit {
-		t.Fatal("heap-scheduler spec missed the cache the wheel run populated")
-	}
-	bodyH, err := c.Result(ctx, stH.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(bodyW, bodyH) {
-		t.Fatal("scheduler choice changed result bytes")
 	}
 }
 
@@ -319,20 +291,28 @@ func TestDrain(t *testing.T) {
 
 // A bad spec is a 400, not a queued failure.
 func TestBadSpecs(t *testing.T) {
-	_, c := startServer(t, service.Config{Workers: 1, QueueDepth: 4})
+	srv, c := startServer(t, service.Config{Workers: 1, QueueDepth: 4})
 	ctx := context.Background()
 	for name, spec := range map[string]service.JobSpec{
-		"bench":     {Bench: "no-such-bench", System: "tsoper"},
-		"system":    {Bench: "radix", System: "no-such-system"},
-		"scale":     {Bench: "radix", System: "tsoper", Scale: -1},
-		"scheduler": {Bench: "radix", System: "tsoper", Scheduler: "fifo"},
-		"fault":     {Bench: "radix", System: "tsoper", FaultPreset: "no-such-preset"},
+		"bench":  {Bench: "no-such-bench", System: "tsoper"},
+		"system": {Bench: "radix", System: "no-such-system"},
+		"scale":  {Bench: "radix", System: "tsoper", Scale: -1},
+		"fault":  {Bench: "radix", System: "tsoper", FaultPreset: "no-such-preset"},
 	} {
 		_, err := c.Submit(ctx, spec)
 		var apiErr *client.APIError
 		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
 			t.Errorf("%s: want 400, got %v", name, err)
 		}
+	}
+
+	// The retired scheduler field is now an unknown field.
+	req := httptest.NewRequest(http.MethodPost, "/v1/jobs",
+		strings.NewReader(`{"bench":"radix","system":"tsoper","scheduler":"heap"}`))
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `unknown field \"scheduler\"`) {
+		t.Errorf("scheduler field: want 400 naming the field, got %d: %s", rec.Code, rec.Body)
 	}
 }
 

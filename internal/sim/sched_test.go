@@ -9,33 +9,15 @@ import (
 // schedKinds enumerates both queue implementations for differential tests.
 var schedKinds = []SchedulerKind{SchedulerHeap, SchedulerWheel}
 
-func TestParseSchedulerKind(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want SchedulerKind
-		err  bool
-	}{
-		{"wheel", SchedulerWheel, false},
-		{"heap", SchedulerHeap, false},
-		{"", SchedulerWheel, false},
-		{"fifo", SchedulerWheel, true},
-	} {
-		got, err := ParseSchedulerKind(tc.in)
-		if (err != nil) != tc.err || got != tc.want {
-			t.Errorf("ParseSchedulerKind(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	if SchedulerWheel.String() != "wheel" || SchedulerHeap.String() != "heap" {
-		t.Error("SchedulerKind strings wrong")
-	}
-}
-
 func TestEngineSchedulerReported(t *testing.T) {
 	if k := NewEngine().Scheduler(); k != SchedulerWheel {
 		t.Fatalf("default scheduler = %v, want wheel", k)
 	}
 	if k := NewEngineWithScheduler(SchedulerHeap).Scheduler(); k != SchedulerHeap {
 		t.Fatalf("heap engine reports %v", k)
+	}
+	if SchedulerWheel.String() != "wheel" || SchedulerHeap.String() != "heap" {
+		t.Error("SchedulerKind strings wrong")
 	}
 }
 

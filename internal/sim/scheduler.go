@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "container/heap"
 
 // SchedulerKind selects the event-queue implementation behind an Engine.
 type SchedulerKind int
@@ -24,17 +21,6 @@ func (k SchedulerKind) String() string {
 		return "heap"
 	}
 	return "wheel"
-}
-
-// ParseSchedulerKind parses "wheel" or "heap".
-func ParseSchedulerKind(s string) (SchedulerKind, error) {
-	switch s {
-	case "wheel", "":
-		return SchedulerWheel, nil
-	case "heap":
-		return SchedulerHeap, nil
-	}
-	return SchedulerWheel, fmt.Errorf("sim: unknown scheduler %q (want wheel or heap)", s)
 }
 
 // scheduler is the pending-event queue. Both implementations dispatch in

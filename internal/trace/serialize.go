@@ -3,15 +3,10 @@ package trace
 import (
 	"bufio"
 	"encoding/binary"
-	"fmt"
 	"io"
-
-	"repro/internal/mem"
 )
 
-// Workload files let a generated trace be stored and replayed bit-exactly —
-// the equivalent of shipping a Sniper trace alongside results. The format
-// is a small versioned binary container (little-endian):
+// The serialized form is a small versioned little-endian container:
 //
 //	magic "TSOT" | version u32 | name len+bytes | profile (fixed fields) |
 //	core count u32 | per core: op count u32, ops (kind u8, addr u64, arg u32)
@@ -20,7 +15,12 @@ const (
 	traceVersion = 1
 )
 
-// Save writes the workload to w.
+// Save writes the workload's serialized form to out. The bytes are a
+// workload's content address, not a file format: machine checkpoints hash
+// them into the header's workload digest, and cmd/tsoper-bench hashes them
+// for its input digests. Both rely on Save being a pure function of the
+// workload. Nothing reads them back; the same (profile, cores, seed)
+// regenerate a workload through Generate.
 func (w *Workload) Save(out io.Writer) error {
 	bw := bufio.NewWriter(out)
 	if _, err := bw.WriteString(traceMagic); err != nil {
@@ -61,101 +61,4 @@ func (w *Workload) Save(out io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// Load reads a workload previously written by Save.
-func Load(in io.Reader) (*Workload, error) {
-	br := bufio.NewReader(in)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if string(magic) != traceMagic {
-		return nil, fmt.Errorf("trace: bad magic %q", magic)
-	}
-	le := binary.LittleEndian
-	readU32 := func() (uint32, error) {
-		var v uint32
-		err := binary.Read(br, le, &v)
-		return v, err
-	}
-	ver, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	if ver != traceVersion {
-		return nil, fmt.Errorf("trace: unsupported version %d", ver)
-	}
-	nameLen, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	if nameLen > 1<<16 {
-		return nil, fmt.Errorf("trace: implausible name length %d", nameLen)
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, err
-	}
-
-	var p Profile
-	p.Name = string(name)
-	ints := []*int{
-		&p.OpsPerCore, &p.SharedLines, &p.PrivateLines, &p.HotLines,
-		&p.SyncPeriod, &p.CSStores, &p.CSBurst, &p.ComputeMean, &p.PhasePeriod,
-	}
-	for _, dst := range ints {
-		v, err := readU32()
-		if err != nil {
-			return nil, err
-		}
-		*dst = int(v)
-	}
-	floats := []*float64{&p.StoreFrac, &p.SharedFrac, &p.HotFrac, &p.Locality, &p.FalseSharing}
-	for _, dst := range floats {
-		if err := binary.Read(br, le, dst); err != nil {
-			return nil, err
-		}
-	}
-	large, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	p.LargeInput = large != 0
-
-	nCores, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	if nCores > 1024 {
-		return nil, fmt.Errorf("trace: implausible core count %d", nCores)
-	}
-	w := &Workload{Profile: p, Cores: make([][]mem.Op, nCores)}
-	for c := range w.Cores {
-		n, err := readU32()
-		if err != nil {
-			return nil, err
-		}
-		if n > 1<<28 {
-			return nil, fmt.Errorf("trace: implausible op count %d", n)
-		}
-		ops := make([]mem.Op, n)
-		for i := range ops {
-			kind, err := br.ReadByte()
-			if err != nil {
-				return nil, err
-			}
-			var addr uint64
-			if err := binary.Read(br, le, &addr); err != nil {
-				return nil, err
-			}
-			arg, err := readU32()
-			if err != nil {
-				return nil, err
-			}
-			ops[i] = mem.Op{Kind: mem.OpKind(kind), Addr: mem.Addr(addr), Arg: arg}
-		}
-		w.Cores[c] = ops
-	}
-	return w, nil
 }

@@ -2,57 +2,26 @@ package trace
 
 import (
 	"bytes"
-	"reflect"
-	"strings"
 	"testing"
 )
 
-func TestSaveLoadRoundTrip(t *testing.T) {
+// TestSaveDeterministic pins the two properties the checkpoint workload
+// digest relies on: Save is a pure function of the workload (same bytes
+// twice), and different workloads serialize differently.
+func TestSaveDeterministic(t *testing.T) {
 	p, _ := ByName("ocean_cp")
-	w := Generate(p.Scale(0.1), 4, 77)
-	var buf bytes.Buffer
-	if err := w.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(w.Profile, got.Profile) {
-		t.Fatalf("profile round trip:\n%+v\n%+v", w.Profile, got.Profile)
-	}
-	if !reflect.DeepEqual(w.Cores, got.Cores) {
-		t.Fatal("ops round trip mismatch")
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(strings.NewReader("not a trace file")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := Load(strings.NewReader("")); err == nil {
-		t.Fatal("empty input accepted")
-	}
-	// Right magic, wrong version.
-	var buf bytes.Buffer
-	buf.WriteString("TSOT")
-	buf.Write([]byte{99, 0, 0, 0})
-	if _, err := Load(&buf); err == nil {
-		t.Fatal("wrong version accepted")
-	}
-}
-
-func TestLoadTruncated(t *testing.T) {
-	p, _ := ByName("fft")
-	w := Generate(p.Scale(0.05), 2, 5)
-	var buf bytes.Buffer
-	if err := w.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	for _, cut := range []int{5, 20, len(full) / 2, len(full) - 3} {
-		if _, err := Load(bytes.NewReader(full[:cut])); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
+	save := func(seed int64) []byte {
+		var buf bytes.Buffer
+		if err := Generate(p.Scale(0.1), 4, seed).Save(&buf); err != nil {
+			t.Fatal(err)
 		}
+		return buf.Bytes()
+	}
+	a, b := save(77), save(77)
+	if !bytes.Equal(a, b) {
+		t.Fatal("Save of the same workload gave different bytes")
+	}
+	if bytes.Equal(a, save(78)) {
+		t.Fatal("workloads from different seeds saved identically")
 	}
 }

@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/checker"
 	"repro/internal/ckpt"
+	"repro/internal/harness"
 	"repro/internal/machine"
 	"repro/internal/program"
 	"repro/internal/sim"
@@ -121,9 +122,6 @@ const (
 	SchedulerHeap = sim.SchedulerHeap
 )
 
-// ParseScheduler parses "wheel" (or "") and "heap".
-func ParseScheduler(s string) (Scheduler, error) { return sim.ParseSchedulerKind(s) }
-
 // RunOptions tunes a single simulation run.
 type RunOptions struct {
 	// Scale multiplies the profile's OpsPerCore (0 or 1 = full size).
@@ -193,43 +191,17 @@ func Run(p Profile, system System, o RunOptions) (*Results, error) {
 	return runWorkload(cfg, w, o)
 }
 
-// runWorkload drives one workload to completion, honoring the checkpoint
-// options: resume from a blob, and/or emit periodic checkpoints.
+// runWorkload runs the harness loop under the options' checkpoint settings.
 func runWorkload(cfg Config, w *Workload, o RunOptions) (*Results, error) {
-	var m *machine.Machine
-	var err error
-	if len(o.ResumeFrom) > 0 {
-		m, err = machine.Restore(cfg, w, o.ResumeFrom)
-	} else if m, err = machine.New(cfg); err == nil {
-		m.Start(w)
-	}
+	r, err := harness.RunWorkload(cfg, w, harness.Options{
+		CheckpointEvery: sim.Time(o.CheckpointEvery),
+		OnCheckpoint:    o.OnCheckpoint,
+		ResumeFrom:      o.ResumeFrom,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("tsoper: %w", err)
 	}
-	if o.CheckpointEvery == 0 {
-		if _, err := m.Advance(sim.MaxTime); err != nil {
-			return nil, fmt.Errorf("tsoper: %w", err)
-		}
-		return m.Results(), nil
-	}
-	limit := m.Now() + sim.Time(o.CheckpointEvery)
-	for {
-		done, err := m.Advance(limit)
-		if err != nil {
-			return nil, fmt.Errorf("tsoper: %w", err)
-		}
-		if o.OnCheckpoint != nil {
-			blob, err := m.Checkpoint()
-			if err != nil {
-				return nil, fmt.Errorf("tsoper: %w", err)
-			}
-			o.OnCheckpoint(blob)
-		}
-		if done {
-			return m.Results(), nil
-		}
-		limit += sim.Time(o.CheckpointEvery)
-	}
+	return r, nil
 }
 
 // Checkpoint-blob helpers re-exported from the wire-format package.
