@@ -372,7 +372,11 @@ func runMutation(seed int64, budget int) (*crashmc.Report, error) {
 			firstErr = err
 		}
 		report.Kills = append(report.Kills, kills...)
-		report.Injections += len(reversed) * len(machine.Faults())
+		// Mutate stops each fault at its first applicable point, so the
+		// injections that ran are the points each fault tried.
+		for _, k := range kills {
+			report.Injections += k.Tried
+		}
 	}
 	return report, firstErr
 }

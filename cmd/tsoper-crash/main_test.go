@@ -98,3 +98,38 @@ func TestCompareMode(t *testing.T) {
 		t.Fatalf("artifact incomplete: %+v", doc)
 	}
 }
+
+// TestMutationCountsInjectionsRun pins the mutation report's injection count
+// to the crash points the faults actually tried: Mutate stops each fault at
+// its first applicable point, so points x faults over-reports.
+func TestMutationCountsInjectionsRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a real campaign")
+	}
+	out := filepath.Join(t.TempDir(), "mutation.json")
+	var stdout, stderr bytes.Buffer
+	if got := run([]string{"-campaign", "mutation", "-crashes", "20", "-json", out}, &stdout, &stderr); got != 0 {
+		t.Fatalf("mutation campaign = %d\nstderr: %s", got, stderr.String())
+	}
+	body, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var report struct {
+		Injections int `json:"injections"`
+		Kills      []struct {
+			Tried int `json:"tried"`
+		} `json:"kills"`
+	}
+	if err := json.Unmarshal(body, &report); err != nil {
+		t.Fatal(err)
+	}
+	tried := 0
+	for _, k := range report.Kills {
+		tried += k.Tried
+	}
+	if len(report.Kills) == 0 || report.Injections != tried {
+		t.Fatalf("report counts %d injections over %d kills, but the faults tried %d crash points",
+			report.Injections, len(report.Kills), tried)
+	}
+}

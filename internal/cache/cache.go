@@ -49,6 +49,11 @@ type Cache[T any] struct {
 	tick  uint64
 	free  *Entry[T]
 	slab  []Entry[T]
+	// waySlab carves a set's slots, at full associativity, on its first
+	// insert: construction costs nothing per set, and a machine that touches
+	// a handful of lines (a litmus test) never backs the rest of a large
+	// array.
+	waySlab []*Entry[T]
 
 	// Hits and Misses count Lookup outcomes.
 	Hits, Misses uint64
@@ -63,18 +68,11 @@ func New[T any](geom Geometry) *Cache[T] {
 	if hint > 2048 {
 		hint = 2048
 	}
-	c := &Cache[T]{
+	return &Cache[T]{
 		geom:  geom,
 		sets:  make([][]*Entry[T], geom.Sets()),
 		index: make(map[mem.Line]*Entry[T], hint),
 	}
-	// One backing array holds every set at full associativity, so Insert's
-	// per-set appends never grow storage.
-	backing := make([]*Entry[T], len(c.sets)*geom.Ways)
-	for i := range c.sets {
-		c.sets[i] = backing[i*geom.Ways : i*geom.Ways : (i+1)*geom.Ways]
-	}
-	return c
 }
 
 // setOf maps a line to its set.
@@ -122,7 +120,13 @@ func (c *Cache[T]) Insert(l mem.Line, data T) (entry, victim *Entry[T]) {
 		e = &c.slab[0]
 		c.slab = c.slab[1:]
 	}
-	if len(set) >= c.geom.Ways {
+	if set == nil {
+		if len(c.waySlab) < c.geom.Ways {
+			c.waySlab = make([]*Entry[T], 16*c.geom.Ways)
+		}
+		c.sets[si] = c.waySlab[:0:c.geom.Ways]
+		c.waySlab = c.waySlab[c.geom.Ways:]
+	} else if len(set) >= c.geom.Ways {
 		victim = c.lruVictim(set)
 		c.removeEntry(si, victim)
 	}

@@ -120,7 +120,7 @@ func checkImage(cs *machine.CrashState, durable map[uint64]*core.Group) error {
 				Detail: fmt.Sprintf("%v appears in durable order but is not durable", g),
 			}
 		}
-		for l, v := range g.DirtyLines() {
+		for l, v := range g.DirtyView() {
 			expected[l] = v
 		}
 	}

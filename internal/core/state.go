@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"sort"
 
 	"repro/internal/ckpt"
@@ -88,64 +89,72 @@ func (t *Tracker) EncodeState(w *ckpt.Writer) {
 	w.Int(t.MaxLive)
 }
 
-// CloneGroups deep-copies a group journal plus a durability-order view of
-// it, preserving pointer identity between the two (an entry of durable is
-// always an entry of journal). Clones carry no tracker or drain callback —
-// they are inert bookkeeping snapshots for crash-state capture, safe to
-// mutate (fault injection) while the originals keep simulating.
+// Copy returns an inert copy of g with its own membership maps and DepIDs
+// history: no tracker or drain callback, and persist-before edges still
+// naming the same peer groups. A caller about to mutate a group that other
+// snapshots may share (fault injection) copies it first.
+func (g *Group) Copy() *Group {
+	c := &Group{
+		ID:          g.ID,
+		Core:        g.Core,
+		Seq:         g.Seq,
+		state:       g.state,
+		reason:      g.reason,
+		notified:    g.notified,
+		dirty:       maps.Clone(g.dirty),
+		clean:       maps.Clone(g.clean),
+		pendingTail: maps.Clone(g.pendingTail),
+		deps:        maps.Clone(g.deps),
+		rdeps:       maps.Clone(g.rdeps),
+	}
+	if len(g.DepIDs) > 0 {
+		c.DepIDs = append([]uint64(nil), g.DepIDs...)
+	}
+	return c
+}
+
+// CloneGroups snapshots a group journal plus a durability-order view of it,
+// preserving pointer identity between the two (an entry of durable is
+// always an entry of journal). Retired is terminal and the simulator never
+// changes a retired group again, so the snapshot shares retired groups with
+// the journal by pointer. Every other group is copied (Copy, with edges
+// remapped onto the copies), which keeps the machine's later changes out of
+// the snapshot. A caller that mutates a snapshot group must Copy it first,
+// since it may be shared.
 func CloneGroups(journal, durable []*Group) ([]*Group, []*Group) {
-	ident := make(map[*Group]*Group, len(journal))
+	ident := make(map[*Group]*Group)
 	js := make([]*Group, len(journal))
 	for i, g := range journal {
-		c := &Group{
-			ID:          g.ID,
-			Core:        g.Core,
-			Seq:         g.Seq,
-			state:       g.state,
-			reason:      g.reason,
-			notified:    g.notified,
-			dirty:       make(map[mem.Line]mem.Version, len(g.dirty)),
-			clean:       make(map[mem.Line]mem.Version, len(g.clean)),
-			pendingTail: make(map[mem.Line]bool, len(g.pendingTail)),
-			deps:        make(map[*Group]bool, len(g.deps)),
-			rdeps:       make(map[*Group]bool, len(g.rdeps)),
+		if g.state == Retired {
+			js[i] = g
+			continue
 		}
-		for l, v := range g.dirty {
-			c.dirty[l] = v
-		}
-		for l, v := range g.clean {
-			c.clean[l] = v
-		}
-		for l := range g.pendingTail {
-			c.pendingTail[l] = true
-		}
-		if len(g.DepIDs) > 0 {
-			c.DepIDs = append([]uint64(nil), g.DepIDs...)
-		}
+		c := g.Copy()
 		ident[g] = c
 		js[i] = c
 	}
-	// Second pass: remap live dependency edges onto the clones.
-	for i, g := range journal {
-		c := js[i]
-		for d := range g.deps {
-			if cd, ok := ident[d]; ok {
-				c.deps[cd] = true
-			}
+	remap := func(g *Group) *Group {
+		if c, ok := ident[g]; ok {
+			return c
 		}
-		for r := range g.rdeps {
-			if cr, ok := ident[r]; ok {
-				c.rdeps[cr] = true
-			}
-		}
+		return g
+	}
+	// Second pass: remap live dependency edges onto the copies.
+	for _, c := range ident {
+		c.deps = remapEdges(c.deps, remap)
+		c.rdeps = remapEdges(c.rdeps, remap)
 	}
 	ds := make([]*Group, len(durable))
 	for i, g := range durable {
-		if c, ok := ident[g]; ok {
-			ds[i] = c
-		} else {
-			ds[i] = g
-		}
+		ds[i] = remap(g)
 	}
 	return js, ds
+}
+
+func remapEdges(edges map[*Group]bool, remap func(*Group) *Group) map[*Group]bool {
+	out := make(map[*Group]bool, len(edges))
+	for g := range edges {
+		out[remap(g)] = true
+	}
+	return out
 }

@@ -92,7 +92,7 @@ type Spec struct {
 	// FullReplay forces the legacy execution mode: one fresh machine
 	// replayed from cycle 0 per crash point. The default shares one
 	// machine per ascending chunk of crash points, advancing it
-	// incrementally and deep-copying the crash state at each point — the
+	// incrementally and capturing the crash state at each point — the
 	// same deterministic injections at a fraction of the simulated cycles.
 	FullReplay bool
 	// Config overrides the per-system machine configuration (nil: Table I).
@@ -210,7 +210,7 @@ func Run(spec Spec) (*Report, error) {
 
 	// Incremental mode: per tuple, sort the crash points and split them
 	// into contiguous ascending chunks; one machine per chunk advances
-	// through its points, capturing a deep-copied crash state at each.
+	// through its points, capturing the crash state at each.
 	// The injections land at their original indices, so the report is
 	// byte-identical to full-replay mode.
 	perTuple := spec.workers() / len(tuples)

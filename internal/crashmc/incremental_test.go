@@ -1,16 +1,23 @@
 package crashmc
 
 import (
+	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 
+	"repro/internal/checker"
+	"repro/internal/ckpt"
+	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/mem"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // TestIncrementalMatchesFullReplay is the differential gate for the
 // prefix-forked sweep: the incremental mode (one machine per ascending
-// chunk, deep-copied captures) must produce a report byte-identical to the
+// chunk, one capture per point) must produce a report byte-identical to the
 // legacy one-machine-per-point full replay.
 func TestIncrementalMatchesFullReplay(t *testing.T) {
 	spec := Spec{
@@ -42,7 +49,9 @@ func TestIncrementalMatchesFullReplay(t *testing.T) {
 // TestCaptureCrashStateIsolated verifies a capture is a true snapshot: two
 // captures taken from one advancing machine must equal the states two
 // dedicated full replays produce, and the earlier capture must not change
-// when the machine advances past it.
+// when the machine advances past it. Captures share retired groups — with
+// the machine and with each other — and copy every other group; neither the
+// checker nor a group-corrupting fault may change a shared group.
 func TestCaptureCrashStateIsolated(t *testing.T) {
 	bench := Adversaries()[0]
 	cfg := machine.TableI(machine.TSOPER)
@@ -65,6 +74,74 @@ func TestCaptureCrashStateIsolated(t *testing.T) {
 
 	if len(capA.Groups) != groupsAtA || len(capA.Image) != imageAtA {
 		t.Fatalf("capture at %d mutated by advancing to %d", a, b)
+	}
+
+	shared := 0
+	for i, g := range capA.Groups {
+		switch {
+		case g.State() == core.Retired:
+			if capB.Groups[i] != g {
+				t.Fatalf("retired %v is copied, not shared, between captures", g)
+			}
+			shared++
+		case capB.Groups[i] == g:
+			t.Fatalf("%v can still change but is shared between captures", g)
+		}
+	}
+	if shared == 0 {
+		t.Fatalf("no retired group at cycle %d: sharing untested", a)
+	}
+
+	for _, cs := range []*machine.CrashState{capA, capB} {
+		before := encodeCrashState(cs)
+		if err := checker.Check(cs); err != nil {
+			t.Fatalf("at %d: %v", cs.At, err)
+		}
+		if !bytes.Equal(before, encodeCrashState(cs)) {
+			t.Fatalf("at %d: checker.Check changed the crash state", cs.At)
+		}
+	}
+
+	// A fault that corrupts a group must copy it first: neither the earlier
+	// capture nor the live journal may change.
+	for _, f := range []machine.CrashFault{machine.FaultUndurablePrefix, machine.FaultSkipDep} {
+		fcfg := cfg
+		fcfg.CrashFault = f
+		fm, err := machine.New(fcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fm.StartCrashRun(tp.workload(fcfg, spec.Seed))
+		fm.AdvanceTo(a)
+		first := fm.CaptureCrashState()
+		fm.AdvanceTo(b)
+		firstEnc := encodeCrashState(first)
+		live, err := fm.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		second := fm.CaptureCrashState()
+		if !first.FaultApplied || !second.FaultApplied {
+			t.Fatalf("%v found no target (at %d: %v, at %d: %v)", f, a, first.FaultApplied, b, second.FaultApplied)
+		}
+		if !bytes.Equal(firstEnc, encodeCrashState(first)) {
+			t.Fatalf("%v at %d changed the capture taken at %d", f, b, a)
+		}
+		after, err := fm.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(live, after) {
+			t.Fatalf("%v at %d changed the live machine state", f, b)
+		}
+
+		// RunWithCrash's state aliases the live journal outright; the fault
+		// must still leave the machine as a clean crash run leaves it.
+		if got, want := crashRunState(t, fcfg, tp.workload(fcfg, spec.Seed), b),
+			crashRunState(t, cfg, tp.workload(cfg, spec.Seed), b); !bytes.Equal(got, want) {
+			t.Fatalf("%v injected by RunWithCrash at %d changed the live machine state: %v",
+				f, b, ckpt.CompareState(want, got))
+		}
 	}
 
 	for _, tc := range []struct {
@@ -105,4 +182,64 @@ func TestCaptureCrashStateIsolated(t *testing.T) {
 			}
 		}
 	}
+}
+
+// crashRunState runs a fresh machine to a crash at cycle at and returns the
+// machine's checkpointed state afterwards.
+func crashRunState(t *testing.T, cfg machine.Config, w *trace.Workload, at sim.Time) []byte {
+	t.Helper()
+	m, err := machine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.RunWithCrash(w, at)
+	blob, err := m.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, state, err := ckpt.DecodeBlob(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return state
+}
+
+// encodeCrashState serializes everything the checker reads and a fault may
+// corrupt: every group's full state in journal order, the durable order, the
+// recovered image and the per-line coherence order.
+func encodeCrashState(cs *machine.CrashState) []byte {
+	var w ckpt.Writer
+	w.Section("crash")
+	w.U32(uint32(len(cs.Groups)))
+	for _, g := range cs.Groups {
+		g.EncodeState(&w)
+	}
+	w.U32(uint32(len(cs.DurableOrder)))
+	for _, g := range cs.DurableOrder {
+		w.U64(g.ID)
+	}
+	for _, l := range sortedLines(cs.Image) {
+		v := cs.Image[l]
+		w.U64(uint64(l))
+		w.Int(v.Core)
+		w.U64(v.Seq)
+	}
+	for _, l := range sortedLines(cs.LineOrder) {
+		w.U64(uint64(l))
+		w.U32(uint32(len(cs.LineOrder[l])))
+		for _, v := range cs.LineOrder[l] {
+			w.Int(v.Core)
+			w.U64(v.Seq)
+		}
+	}
+	return w.State()
+}
+
+func sortedLines[V any](m map[mem.Line]V) []mem.Line {
+	lines := make([]mem.Line, 0, len(m))
+	for l := range m {
+		lines = append(lines, l)
+	}
+	slices.Sort(lines)
+	return lines
 }

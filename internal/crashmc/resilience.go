@@ -340,17 +340,21 @@ func (spec ResilienceSpec) runCell(bench trace.Profile, kind machine.SystemKind,
 	}
 
 	// Crash points: uniform over the faulted horizon, endpoints excluded.
+	// They ascend, so one machine advances through them all, capturing the
+	// crash state at each.
+	cm, err := machine.New(cfg)
+	if err != nil {
+		fail(0, "violation", err.Error(), "")
+		return
+	}
+	cm.StartCrashRun(trace.Generate(bench, cfg.Cores, spec.Seed))
 	for i := 0; i < spec.Points; i++ {
 		at := c.FaultedCycles * uint64(i+1) / uint64(spec.Points+1)
 		if at == 0 {
 			at = 1
 		}
-		cm, err := machine.New(cfg)
-		if err != nil {
-			fail(at, "violation", err.Error(), "")
-			continue
-		}
-		cs := cm.RunWithCrash(trace.Generate(bench, cfg.Cores, spec.Seed), sim.Time(at))
+		cm.AdvanceTo(sim.Time(at))
+		cs := cm.CaptureCrashState()
 		c.Points++
 		durable := 0
 		for _, g := range cs.Groups {

@@ -16,7 +16,14 @@
 // across every harvested persistency-transition crash cycle (reusing
 // crashmc's probe-event harvesting), a sweep of interleaving perturbations
 // (per-core start skews and seeded inter-op jitter), and collects the set
-// of reachable durable outcomes. Conformance demands three things at once:
+// of reachable durable outcomes. The sweep forks as crashmc's campaigns do:
+// per perturbation, one machine starts the lowered workload once and
+// advances through the ascending crash points, capturing the crash state at
+// each (machine.StartCrashRun, AdvanceTo, CaptureCrashState), so the prefix
+// up to each point simulates once rather than once per later point. A test
+// keeps the per-point replay (a fresh machine run from cycle 0 to each
+// point) as the reference the forked Results must match byte for byte.
+// Conformance demands three things at once:
 //
 //  1. soundness — every reached outcome is in the allowed set;
 //  2. coverage — every allowed outcome is eventually reached (the machine

@@ -10,6 +10,7 @@ import (
 	"repro/internal/faultplan"
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Options configures one exploration of a litmus test.
@@ -44,6 +45,11 @@ type Options struct {
 	// CrossCheck runs the crash-consistency checker on every crash state
 	// and reports oracle/checker disagreement.
 	CrossCheck bool
+
+	// replay, set only by tests, takes each crash state from a fresh
+	// machine replayed from cycle 0 instead of the forked sweep: the
+	// reference the forked Results must match byte for byte.
+	replay bool
 }
 
 // Default returns the standard conformance options: TSOPER, coverage and
@@ -189,6 +195,32 @@ func (o Options) config(cores int) machine.Config {
 	return cfg
 }
 
+// sweep returns the crash state at each of an ascending run of cycles. The
+// sweep forks: one machine starts the workload once and advances from each
+// point to the next, capturing the state at every stop, so the shared
+// prefix simulates once. The test-only replay reference builds a fresh
+// machine per point and runs it from cycle 0.
+func (o Options) sweep(cfg machine.Config, w *trace.Workload) (func(at uint64) (*machine.CrashState, error), error) {
+	if o.replay {
+		return func(at uint64) (*machine.CrashState, error) {
+			m, err := machine.New(cfg)
+			if err != nil {
+				return nil, err
+			}
+			return m.RunWithCrash(w, sim.Time(at)), nil
+		}, nil
+	}
+	m, err := machine.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	m.StartCrashRun(w)
+	return func(at uint64) (*machine.CrashState, error) {
+		m.AdvanceTo(sim.Time(at))
+		return m.CaptureCrashState(), nil
+	}, nil
+}
+
 // Explore drives the test through the machine across the perturbation sweep
 // and every harvested crash point, and checks conformance: soundness of
 // every reached durable outcome, coverage of the allowed set, and agreement
@@ -249,16 +281,21 @@ func Explore(t *Test, o Options) *Result {
 			continue
 		}
 		// An explicit first-cycle crash pins the initial image and a
-		// post-horizon crash the complete one.
+		// post-horizon crash the complete one. The harvest is sorted, so
+		// the points ascend and one machine advances through them all.
 		points = append([]uint64{1}, append(points, horizon+16)...)
 
+		crashAt, err := o.sweep(cfg, lo.w)
+		if err != nil {
+			r.violate(Violation{Kind: "setup", Detail: err.Error()})
+			return r
+		}
 		for _, at := range points {
-			m, err := machine.New(cfg)
+			cs, err := crashAt(at)
 			if err != nil {
 				r.violate(Violation{Kind: "setup", Detail: err.Error()})
 				return r
 			}
-			cs := m.RunWithCrash(lo.w, sim.Time(at))
 			r.Points++
 			if cs.Stalled {
 				r.violate(Violation{Kind: "stall", Perturb: p.String(), At: at,

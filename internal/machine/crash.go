@@ -19,7 +19,9 @@ type CrashState struct {
 	// Image is the recovered durable version of every line ever persisted
 	// (absent = initial pre-run contents).
 	Image map[mem.Line]mem.Version
-	// Groups is the full atomic-group journal at the crash.
+	// Groups is the full atomic-group journal at the crash. Its groups may
+	// be shared with the machine and with other captures, so they are
+	// read-only: InjectFault copies a group before corrupting it.
 	Groups []*core.Group
 	// DurableOrder lists groups in the order they entered the durable
 	// super group (AGB allocation order).
@@ -51,10 +53,10 @@ type CrashState struct {
 // group journal.
 //
 // The returned state aliases the machine's live bookkeeping — fine for
-// this single-shot entry point, where the machine never advances again.
-// Incremental sweeps that keep simulating after a capture must use
-// StartCrashRun / AdvanceTo / CaptureCrashState, whose captures are deep
-// copies.
+// this single-shot entry point, where the machine never advances again (an
+// injected CrashFault copies what it corrupts). Incremental sweeps that keep
+// simulating after a capture must use StartCrashRun / AdvanceTo /
+// CaptureCrashState, whose captures the machine never changes.
 func (m *Machine) RunWithCrash(w *trace.Workload, at sim.Time) *CrashState {
 	m.StartCrashRun(w)
 	m.AdvanceTo(at)
@@ -99,15 +101,19 @@ func (m *Machine) AdvanceTo(at sim.Time) {
 }
 
 // CaptureCrashState snapshots the post-crash durable state at the current
-// cycle without disturbing the run: every captured structure is a deep copy
-// (the group journal via core.CloneGroups, the per-line order with copied
-// version slices), so the machine can keep advancing to later crash points
-// and fault injection can mutate the capture freely.
+// cycle without disturbing the run, paying only for what can still change:
+// the group journal goes through core.CloneGroups, which copies live groups
+// and shares retired ones, and each append-only per-line order log is
+// captured as its current prefix with capacity capped at its length, so
+// neither the machine's later appends nor an append to the capture reach
+// the other. The machine can keep advancing to later crash points. Captures
+// share retired groups with it and with each other, so InjectFault copies
+// a group before corrupting it.
 func (m *Machine) CaptureCrashState() *CrashState {
 	groups, durable := core.CloneGroups(m.journal, m.durableOrder)
 	lineOrder := make(map[mem.Line][]mem.Version, len(m.lineOrder))
 	for l, vs := range m.lineOrder {
-		lineOrder[l] = append([]mem.Version(nil), vs...)
+		lineOrder[l] = vs[:len(vs):len(vs)]
 	}
 	cs := &CrashState{
 		System:       m.cfg.System,
@@ -134,10 +140,11 @@ func (m *Machine) CaptureCrashState() *CrashState {
 // recoverImage replays the durable groups in durability order. Applying
 // every durable group (including retired ones, whose lines already reached
 // NVM) reconstructs the newest durable version per line — same-address FIFO
-// holds because durability order is allocation order.
+// holds because durability order is allocation order. It runs before fault
+// injection, so every group it reads is durable and DirtyView is safe.
 func recoverImage(cs *CrashState) {
 	for _, g := range cs.DurableOrder {
-		for l, v := range g.DirtyLines() {
+		for l, v := range g.DirtyView() {
 			cs.Image[l] = v
 		}
 	}

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -142,7 +143,7 @@ func InjectFault(cs *CrashState, f CrashFault) bool {
 			}
 			for _, y := range cs.Groups {
 				if y.Core == g.Core && y.Seq > g.Seq && y.State() >= core.Durable {
-					g.InjectState(core.Frozen)
+					own(cs, g).InjectState(core.Frozen)
 					return true
 				}
 			}
@@ -162,7 +163,8 @@ func InjectFault(cs *CrashState, f CrashFault) bool {
 		}
 		for _, g := range cs.Groups {
 			if g.State() >= core.Durable {
-				g.DepIDs = append(g.DepIDs, skipped.ID)
+				c := own(cs, g)
+				c.DepIDs = append(c.DepIDs, skipped.ID)
 				return true
 			}
 		}
@@ -246,6 +248,27 @@ func InjectFault(cs *CrashState, f CrashFault) bool {
 		return false
 	}
 	return false
+}
+
+// own swaps a private copy of g into cs.Groups and cs.DurableOrder and
+// returns it, for a fault about to corrupt g: a capture shares its retired
+// groups with the machine and with other captures. Both slices are copied
+// first, because RunWithCrash's state aliases the live journal.
+func own(cs *CrashState, g *core.Group) *core.Group {
+	c := g.Copy()
+	cs.Groups = swapGroup(cs.Groups, g, c)
+	cs.DurableOrder = swapGroup(cs.DurableOrder, g, c)
+	return c
+}
+
+func swapGroup(gs []*core.Group, from, to *core.Group) []*core.Group {
+	out := slices.Clone(gs)
+	for i, g := range out {
+		if g == from {
+			out[i] = to
+		}
+	}
+	return out
 }
 
 func minDirtyLine(g *core.Group) mem.Line {
