@@ -13,10 +13,8 @@
 // or drive it with tsoper-load. Program jobs (PROGRAMS.md) are
 // cost-estimated before admission — over-budget programs are rejected with
 // 429 carrying the estimate — and cached under the program's canonical
-// hash; each program run also caches a periodic checkpoint so later
-// superprograms warm-start from the shared prefix (-checkpoint-every).
-// SIGTERM/SIGINT drain gracefully: admission stops, queued and in-flight
-// jobs finish, then the process exits 0.
+// hash. SIGTERM/SIGINT drain gracefully: admission stops, queued and
+// in-flight jobs finish, then the process exits 0.
 //
 // Exit status: 0 clean shutdown, 1 serve/drain failure, 2 usage error.
 package main
@@ -51,7 +49,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	cacheEntries := fs.Int("cache", 256, "content-addressed result cache entries (LRU)")
 	jobTimeout := fs.Uint64("job-timeout", 0, "per-job stall-watchdog horizon in simulation cycles (0 = default)")
 	maxProgramOps := fs.Int("max-program-ops", 0, "program-job admission budget in trace ops; over-budget programs get 429 + estimate (0 = default 4Mi)")
-	ckptEvery := fs.Uint64("checkpoint-every", 0, "program-job checkpoint stride in simulation cycles, for superprogram warm-starts (0 = default 100000)")
 	drainTimeout := fs.Duration("drain-timeout", 5*time.Minute, "max wait for in-flight jobs at shutdown")
 	if err := fs.Parse(argv); err != nil {
 		return 2
@@ -87,12 +84,11 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
 
 	srv := service.New(service.Config{
-		Workers:         *workers,
-		QueueDepth:      *queueDepth,
-		CacheEntries:    *cacheEntries,
-		JobTimeout:      sim.Time(*jobTimeout),
-		MaxProgramOps:   *maxProgramOps,
-		CheckpointEvery: sim.Time(*ckptEvery),
+		Workers:       *workers,
+		QueueDepth:    *queueDepth,
+		CacheEntries:  *cacheEntries,
+		JobTimeout:    sim.Time(*jobTimeout),
+		MaxProgramOps: *maxProgramOps,
 	})
 	srv.Start()
 

@@ -33,7 +33,9 @@ func TestExitCodes(t *testing.T) {
 		{name: "negative cache", argv: []string{"-cache", "-1"}, want: 2, stderr: "-cache must not be negative"},
 		{name: "negative program budget", argv: []string{"-max-program-ops", "-1"}, want: 2, stderr: "-max-program-ops must not be negative"},
 		{name: "non-positive drain timeout", argv: []string{"-drain-timeout", "0s"}, want: 2, stderr: "-drain-timeout must be positive"},
-		{name: "malformed checkpoint stride", argv: []string{"-checkpoint-every", "soon"}, want: 2},
+		// A retired flag paired with an address that fails at listen time,
+		// so a server that still accepted the flag would exit 1, not hang.
+		{name: "retired checkpoint-every flag", argv: []string{"-checkpoint-every", "5000", "-addr", "127.0.0.1:notaport"}, want: 2, stderr: "not defined: -checkpoint-every"},
 		{name: "unparseable addr", argv: []string{"-addr", "127.0.0.1:notaport"}, want: 1, stderr: "serve:"},
 		{name: "addr in use", argv: []string{"-addr", busy, "-workers", "1"}, want: 1, stderr: "address already in use"},
 	}

@@ -8,8 +8,6 @@
 //	tsoper-sim -program my-workload.json -estimate
 //	tsoper-sim -bench radix -trace-out radix.json -metrics-out radix-metrics.json
 //	tsoper-sim -metrics-diff old-metrics.json new-metrics.json
-//	tsoper-sim -bench radix -checkpoint-every 100000 -checkpoint-out radix.ckpt
-//	tsoper-sim -bench radix -resume radix.ckpt
 //
 // -program runs a workload-VM program instead of a benchmark profile: an
 // embedded library name (see -list) or a JSON program file (PROGRAMS.md
@@ -17,10 +15,7 @@
 // estimate without simulating. -trace-out writes a Perfetto-compatible
 // timeline (open it in ui.perfetto.dev); -metrics-out writes the unified
 // metrics snapshot; -metrics-diff compares two snapshots without running
-// anything. -checkpoint-every/-checkpoint-out snapshot the machine
-// periodically; -resume restores a blob and finishes the run with results
-// byte-identical to a straight-through run (restores are replay-verified,
-// so a blob from a different workload is rejected with a typed error).
+// anything.
 //
 // Systems: baseline, hw-rp, bsp, bsp+slc, bsp+slc+agb, stw, tsoper.
 // Protocols (-protocol): slc (default), mesi, tardis.
@@ -36,8 +31,6 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/ckpt"
-	"repro/internal/machine"
 	"repro/internal/telemetry"
 	"repro/tsoper"
 )
@@ -61,9 +54,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	metricsOut := fs.String("metrics-out", "", "write the unified metrics snapshot (JSON) to this file")
 	metricsDiff := fs.Bool("metrics-diff", false, "diff two metrics snapshots given as positional args, then exit")
 	protoFlag := fs.String("protocol", "slc", "coherence protocol: slc, mesi, or tardis")
-	ckptEvery := fs.Uint64("checkpoint-every", 0, "checkpoint the run every N simulation cycles (0 = off)")
-	ckptOut := fs.String("checkpoint-out", "", "write the run's last checkpoint blob to this file (requires -checkpoint-every)")
-	resume := fs.String("resume", "", "resume the run from a checkpoint blob file (same bench/program, seed, system)")
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
@@ -81,9 +71,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 	if *estimate && *progArg == "" {
 		return usageErr("-estimate requires -program")
-	}
-	if *ckptOut != "" && *ckptEvery == 0 {
-		return usageErr("-checkpoint-out requires -checkpoint-every")
 	}
 	proto, err := tsoper.ParseProtocol(*protoFlag)
 	if err != nil {
@@ -176,27 +163,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 
 	var r *tsoper.Results
 	opts := tsoper.RunOptions{Scale: *scale, Seed: *seed, Protocol: proto, Config: cfgOverride}
-	// Keep the last execution-phase blob — the useful one to resume from
-	// (drain/done blobs replay the whole run anyway). Fall back to the very
-	// last blob when the run finished inside the first stride.
-	var lastBlob, lastExecBlob []byte
-	if *ckptEvery != 0 {
-		opts.CheckpointEvery = *ckptEvery
-		opts.OnCheckpoint = func(blob []byte) {
-			lastBlob = blob
-			if h, _, err := ckpt.DecodeBlob(blob); err == nil && h.Phase == machine.CheckpointPhaseExec {
-				lastExecBlob = blob
-			}
-		}
-	}
-	if *resume != "" {
-		blob, err := os.ReadFile(*resume)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		opts.ResumeFrom = blob
-	}
 	if prog != nil {
 		r, err = tsoper.RunProgram(prog, kind, opts)
 	} else {
@@ -205,17 +171,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
-	}
-	if *ckptOut != "" {
-		blob := lastExecBlob
-		if blob == nil {
-			blob = lastBlob
-		}
-		if err := os.WriteFile(*ckptOut, blob, 0o644); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "checkpoint: %d bytes -> %s\n", len(blob), *ckptOut)
 	}
 	if sink != nil {
 		if err := writeFile(*traceOut, sink.WriteJSON); err != nil {

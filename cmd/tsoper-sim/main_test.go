@@ -27,13 +27,14 @@ func TestExitCodes(t *testing.T) {
 		{name: "estimate without program", argv: []string{"-estimate"}, want: 2, stderr: "-estimate requires -program"},
 		{name: "metrics-diff arity", argv: []string{"-metrics-diff", "only-one.json"}, want: 2, stderr: "OLD.json NEW.json"},
 		{name: "metrics-diff missing files", argv: []string{"-metrics-diff", "does-not-exist.json", "nor-this.json"}, want: 1},
-		{name: "checkpoint-out without stride", argv: []string{"-checkpoint-out", "x.ckpt"}, want: 2, stderr: "-checkpoint-out requires -checkpoint-every"},
-		{name: "resume missing file", argv: []string{"-resume", "does-not-exist.ckpt"}, want: 1},
 		{name: "list", argv: []string{"-list"}, want: 0, stdout: "producer-consumer-ring"},
 		// Retired flags: each paired with -list, which exits 0 on its own.
 		{name: "retired scheduler flag", argv: []string{"-scheduler", "heap", "-list"}, want: 2, stderr: "not defined: -scheduler"},
 		{name: "retired save-trace flag", argv: []string{"-save-trace", "x", "-list"}, want: 2, stderr: "not defined: -save-trace"},
 		{name: "retired load-trace flag", argv: []string{"-load-trace", "x", "-list"}, want: 2, stderr: "not defined: -load-trace"},
+		{name: "retired checkpoint-every flag", argv: []string{"-checkpoint-every", "5000", "-list"}, want: 2, stderr: "not defined: -checkpoint-every"},
+		{name: "retired checkpoint-out flag", argv: []string{"-checkpoint-out", "x.ckpt", "-list"}, want: 2, stderr: "not defined: -checkpoint-out"},
+		{name: "retired resume flag", argv: []string{"-resume", "x.ckpt", "-list"}, want: 2, stderr: "not defined: -resume"},
 		{name: "estimate library program", argv: []string{"-program", "producer-consumer-ring", "-estimate"}, want: 0, stdout: "ops"},
 		{
 			name: "clean bench run",
@@ -70,45 +71,6 @@ func TestExitCodes(t *testing.T) {
 				t.Errorf("stdout %q does not mention %q", stdout.String(), tc.stdout)
 			}
 		})
-	}
-}
-
-// TestCheckpointRoundTrip drives the flags end to end: a run that writes a
-// mid-run checkpoint, then a -resume run whose summary is byte-identical
-// to the straight-through one. A blob resumed under the wrong seed must be
-// rejected as a runtime failure, not a crash.
-func TestCheckpointRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real simulations")
-	}
-	dir := t.TempDir()
-	blob := filepath.Join(dir, "run.ckpt")
-	base := []string{"-bench", "radix", "-system", "tsoper", "-scale", "0.02", "-seed", "7"}
-
-	var straight, straightErr bytes.Buffer
-	if got := run(append(base, "-checkpoint-every", "5000", "-checkpoint-out", blob), &straight, &straightErr); got != 0 {
-		t.Fatalf("checkpointed run = %d\nstderr: %s", got, straightErr.String())
-	}
-	if !strings.Contains(straightErr.String(), "checkpoint:") {
-		t.Fatalf("no checkpoint written: %s", straightErr.String())
-	}
-
-	var resumed, resumedErr bytes.Buffer
-	if got := run(append(base, "-resume", blob), &resumed, &resumedErr); got != 0 {
-		t.Fatalf("resumed run = %d\nstderr: %s", got, resumedErr.String())
-	}
-	if resumed.String() != straight.String() {
-		t.Fatalf("resumed summary differs from straight-through:\n--- straight ---\n%s--- resumed ---\n%s",
-			straight.String(), resumed.String())
-	}
-
-	var out, errOut bytes.Buffer
-	wrong := []string{"-bench", "radix", "-system", "tsoper", "-scale", "0.02", "-seed", "8", "-resume", blob}
-	if got := run(wrong, &out, &errOut); got != 1 {
-		t.Fatalf("wrong-seed resume = %d, want 1\nstderr: %s", got, errOut.String())
-	}
-	if !strings.Contains(errOut.String(), "diverge") {
-		t.Errorf("wrong-seed resume error %q does not name the divergence", errOut.String())
 	}
 }
 

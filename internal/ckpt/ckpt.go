@@ -39,17 +39,17 @@ var (
 	// ErrConfigMismatch marks a restore into a machine whose canonical
 	// config hash differs from the checkpoint's.
 	ErrConfigMismatch = errors.New("ckpt: checkpoint config does not match machine config")
-	// ErrDivergence marks a replayed machine whose re-serialized state is
-	// not byte-identical to the checkpoint — nondeterminism, a workload
-	// mismatch, or a corrupted state section.
+	// ErrDivergence marks a restore under a workload other than the
+	// checkpointed one, or a replayed machine whose re-serialized state is
+	// not byte-identical to the checkpoint — nondeterminism or a corrupted
+	// state section.
 	ErrDivergence = errors.New("ckpt: replayed state diverges from checkpoint")
 )
 
 // Header is the blob's self-description. Cycle/Seq/Executed position the
-// engine; ConfigHash is the hard compatibility gate; WorkloadDigest is
-// advisory (prefix warm-starts legitimately restore under a different
-// workload whose op streams extend the checkpointed one — the state
-// byte-compare is the real gate).
+// engine; ConfigHash and WorkloadDigest bind the blob to one configuration
+// and one workload, both checked before a restore replays anything; the
+// state byte-compare then proves the replay reached the recorded state.
 type Header struct {
 	Version        uint32
 	ConfigHash     string

@@ -37,18 +37,6 @@ type Options struct {
 	// simulation fails with a StallError instead of hanging its worker
 	// forever. It overrides Config.WatchdogHorizon.
 	Timeout sim.Time
-
-	// CheckpointEvery, when positive, pauses each run every that many
-	// cycles and hands a checkpoint blob to OnCheckpoint (plus a final one
-	// at completion). Checkpoints do not perturb results.
-	CheckpointEvery sim.Time
-	// OnCheckpoint receives each checkpoint blob; ignored when
-	// CheckpointEvery is 0.
-	OnCheckpoint func(blob []byte)
-	// ResumeFrom, when non-empty, restores the run from a checkpoint blob
-	// instead of starting at cycle 0 (replay-verified against the config
-	// and workload).
-	ResumeFrom []byte
 }
 
 // DefaultOptions returns full-scale, deterministic options.
@@ -112,48 +100,18 @@ func RunConfigChecked(bench trace.Profile, cfg machine.Config, o Options) (*mach
 		cfg.WatchdogHorizon = o.Timeout
 	}
 	w := trace.Generate(bench.Scale(o.scale()), cfg.Cores, o.Seed)
-	return RunWorkload(cfg, w, o)
+	return RunWorkload(cfg, w)
 }
 
-// RunWorkload drives one workload on a fresh or checkpoint-restored
-// machine, emitting periodic checkpoints when asked (Options.CheckpointEvery,
-// OnCheckpoint, ResumeFrom; the other fields are ignored). Errors come back
-// unwrapped, as the machine reports them.
-func RunWorkload(cfg machine.Config, w *trace.Workload, o Options) (*machine.Results, error) {
-	var m *machine.Machine
-	var err error
-	if len(o.ResumeFrom) > 0 {
-		m, err = machine.Restore(cfg, w, o.ResumeFrom)
-	} else if m, err = machine.New(cfg); err == nil {
-		m.Start(w)
-	}
+// RunWorkload simulates one workload on a fresh machine to completion,
+// including the end-of-run persist flush. Errors come back unwrapped, as
+// the machine reports them.
+func RunWorkload(cfg machine.Config, w *trace.Workload) (*machine.Results, error) {
+	m, err := machine.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if o.CheckpointEvery == 0 {
-		if _, err := m.Advance(sim.MaxTime); err != nil {
-			return nil, err
-		}
-		return m.Results(), nil
-	}
-	limit := m.Now() + o.CheckpointEvery
-	for {
-		done, err := m.Advance(limit)
-		if err != nil {
-			return nil, err
-		}
-		if o.OnCheckpoint != nil {
-			blob, err := m.Checkpoint()
-			if err != nil {
-				return nil, err
-			}
-			o.OnCheckpoint(blob)
-		}
-		if done {
-			return m.Results(), nil
-		}
-		limit += o.CheckpointEvery
-	}
+	return m.RunChecked(w)
 }
 
 // Cell identifies one simulation in a sweep.

@@ -33,7 +33,7 @@ func RunProgramConfigChecked(p *program.Program, cfg machine.Config, o Options) 
 	if err != nil {
 		return nil, fmt.Errorf("harness: %w", err)
 	}
-	return RunWorkload(cfg, w, o)
+	return RunWorkload(cfg, w)
 }
 
 // EstimateProgram is the admission-control view: the program's cost for the

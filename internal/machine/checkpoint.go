@@ -31,17 +31,9 @@ import (
 //     continuations captured as engine (at, seq, gen) triples;
 //   - scratch buffers (vnScratch) and pure observers (telemetry) are
 //     excluded;
-//   - the config participates via its canonical hash (hard gate); the
-//     workload via an advisory digest — a prefix warm-start legitimately
-//     restores under an extended workload, and the state byte-compare is
-//     the real gate.
-
-// CheckpointPhase values as stored in a blob header.
-const (
-	CheckpointPhaseExec  = uint8(phaseExec)
-	CheckpointPhaseDrain = uint8(phaseDrain)
-	CheckpointPhaseDone  = uint8(phaseDone)
-)
+//   - the config participates via its canonical hash and the workload via
+//     its serialized digest; both are checked before any replay, and the
+//     state byte-compare then proves the replay landed in the same state.
 
 // Checkpoint serializes the machine's complete logical state at the
 // current cycle. Call it only between Start/Advance calls (never from
@@ -71,16 +63,13 @@ func (m *Machine) Checkpoint() ([]byte, error) {
 
 // Restore rebuilds a machine in the checkpointed state: it validates the
 // blob envelope (ckpt.ErrFormat / ckpt.ErrVersion), requires cfg's
-// canonical hash to match the checkpoint's (ckpt.ErrConfigMismatch),
-// replays a fresh machine over w to the checkpoint cycle, and byte-compares
-// the replayed state against the blob (ckpt.ErrDivergence names the first
-// differing section). On success the machine is indistinguishable from the
-// one that produced the checkpoint — continue it with Advance.
-//
-// w need not be the exact checkpointed workload: a workload whose per-core
-// op streams extend the checkpointed one replays identically up to the
-// checkpoint cycle (the digest in the header is advisory). Any other
-// mismatch fails the byte-compare.
+// canonical hash to match the checkpoint's (ckpt.ErrConfigMismatch) and w
+// to be the checkpointed workload (ckpt.ErrDivergence naming the workload,
+// caught from the header's digest before any replay), replays a fresh
+// machine over w to the checkpoint cycle, and byte-compares the replayed
+// state against the blob (ckpt.ErrDivergence names the first differing
+// section). On success the machine is indistinguishable from the one that
+// produced the checkpoint — continue it with Advance.
 func Restore(cfg Config, w *trace.Workload, blob []byte) (*Machine, error) {
 	h, state, err := ckpt.DecodeBlob(blob)
 	if err != nil {
@@ -96,6 +85,10 @@ func Restore(cfg Config, w *trace.Workload, blob []byte) (*Machine, error) {
 	}
 	if h.Phase < uint8(phaseExec) || h.Phase > uint8(phaseDone) {
 		return nil, fmt.Errorf("%w: phase byte %d out of range", ckpt.ErrFormat, h.Phase)
+	}
+	if d := workloadDigest(w); d != h.WorkloadDigest {
+		return nil, fmt.Errorf("%w: workload %q digest %s.., checkpoint %s..",
+			ckpt.ErrDivergence, w.Profile.Name, prefix12(d), prefix12(h.WorkloadDigest))
 	}
 	m, err := New(cfg)
 	if err != nil {

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -150,9 +151,10 @@ func TestRestoreRejectsConfigMismatch(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsWrongWorkload verifies the divergence oracle: replaying
-// a checkpoint under a workload that is not an extension of the original
-// must fail the byte-compare, not silently produce a wrong machine.
+// TestRestoreRejectsWrongWorkload verifies the workload binding: restoring
+// a checkpoint under a different workload must fail with a divergence that
+// names the workload, caught from the header's digest before any replay,
+// not silently produce a wrong machine.
 func TestRestoreRejectsWrongWorkload(t *testing.T) {
 	cfg := ckptConfig(TSOPER)
 	w := ckptWorkload(t, 3)
@@ -168,8 +170,12 @@ func TestRestoreRejectsWrongWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Restore(cfg, ckptWorkload(t, 4), blob); !errors.Is(err, ckpt.ErrDivergence) {
+	_, err = Restore(cfg, ckptWorkload(t, 4), blob)
+	if !errors.Is(err, ckpt.ErrDivergence) {
 		t.Fatalf("got %v, want ErrDivergence", err)
+	}
+	if !strings.Contains(err.Error(), `workload "ckpt-smoke"`) {
+		t.Fatalf("divergence does not name the workload: %v", err)
 	}
 }
 

@@ -19,11 +19,6 @@ type metrics struct {
 	cacheHits   atomic.Uint64
 	cacheMisses atomic.Uint64
 	dedups      atomic.Uint64
-	// warmStarts counts program jobs resumed from a cached prefix
-	// checkpoint; warmStartRejects counts blobs the replay-verification
-	// refused (the job then ran cold).
-	warmStarts       atomic.Uint64
-	warmStartRejects atomic.Uint64
 
 	mu sync.Mutex
 	// lat is a ring of the most recent completed-job latencies; count and
@@ -90,11 +85,6 @@ type CacheStats struct {
 	// Evictions counts entries dropped by LRU pressure; a high rate means
 	// the cache is undersized for the working set.
 	Evictions uint64 `json:"evictions"`
-	// WarmStarts counts program jobs resumed from a cached prefix
-	// checkpoint; WarmStartRejects counts blobs rejected by
-	// replay-verification (those jobs ran cold and stayed correct).
-	WarmStarts       uint64 `json:"warm_starts"`
-	WarmStartRejects uint64 `json:"warm_start_rejects"`
 }
 
 // MetricsSnapshot is the /metrics document.
@@ -155,13 +145,11 @@ func (s *Server) Metrics() MetricsSnapshot {
 		JobsQueued:    queued,
 		JobsRunning:   running,
 		Cache: CacheStats{
-			Entries:          s.cache.Len(),
-			Hits:             m.cacheHits.Load(),
-			Misses:           m.cacheMisses.Load(),
-			Dedups:           m.dedups.Load(),
-			Evictions:        s.cache.Evictions(),
-			WarmStarts:       m.warmStarts.Load(),
-			WarmStartRejects: m.warmStartRejects.Load(),
+			Entries:   s.cache.Len(),
+			Hits:      m.cacheHits.Load(),
+			Misses:    m.cacheMisses.Load(),
+			Dedups:    m.dedups.Load(),
+			Evictions: s.cache.Evictions(),
 		},
 	}
 	if total := snap.Cache.Hits + snap.Cache.Misses; total > 0 {

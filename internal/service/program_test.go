@@ -132,6 +132,24 @@ func TestProgramCanonicalFormSharesCache(t *testing.T) {
 	}
 }
 
+// TestProgramJobTakesOneCacheSlot: a program job stores its result
+// document and nothing else, so cache entries and evictions count results.
+func TestProgramJobTakesOneCacheSlot(t *testing.T) {
+	srv, c := startServer(t, service.Config{Workers: 1, QueueDepth: 4})
+	p, err := program.ByName("producer-consumer-ring")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 2; seed++ {
+		if _, _, err := c.Run(context.Background(), progSpec(p, seed)); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+	if n := srv.Metrics().Cache.Entries; n != 2 {
+		t.Fatalf("cache entries = %d after two program jobs, want 2", n)
+	}
+}
+
 // TestProgramOverBudget is the admission-control acceptance criterion:
 // an over-budget program is rejected with 429 and the response body carries
 // the cost estimate and the budget.

@@ -25,7 +25,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/ckpt"
 	"repro/internal/harness"
 	"repro/internal/machine"
 	"repro/internal/sim"
@@ -57,15 +56,7 @@ type Config struct {
 	// with 429 before it can occupy a worker (default 4Mi ops, roughly 80×
 	// a full-scale profile job).
 	MaxProgramOps int
-	// CheckpointEvery is the checkpoint stride (simulation cycles) for
-	// program jobs (default DefaultCheckpointEvery). Each run's last
-	// execution-phase checkpoint blob is cached under "ckpt:"+key so a
-	// later superprogram job can warm-start from it (see warmstart.go).
-	CheckpointEvery sim.Time
 }
-
-// DefaultCheckpointEvery is the default checkpoint stride for program jobs.
-const DefaultCheckpointEvery sim.Time = 100_000
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -88,9 +79,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxProgramOps <= 0 {
 		c.MaxProgramOps = 4 << 20
-	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = DefaultCheckpointEvery
 	}
 	return c
 }
@@ -325,37 +313,10 @@ func (s *Server) runJob(j *job) {
 		Seed:    j.plan.seed,
 		Timeout: s.cfg.JobTimeout,
 	}
-	var ckptBlob []byte
-	if j.plan.prog != nil {
-		// Emit periodic checkpoints and keep the last execution-phase blob
-		// — the one a future superprogram job can warm-start from. Drain-
-		// and done-phase blobs never replay-verify under an extended
-		// workload, so they are not worth caching.
-		opts.CheckpointEvery = s.cfg.CheckpointEvery
-		opts.OnCheckpoint = func(blob []byte) {
-			if h, _, derr := ckpt.DecodeBlob(blob); derr == nil && h.Phase == machine.CheckpointPhaseExec {
-				ckptBlob = blob
-			}
-		}
-		if blob, ok := s.lookupWarmStart(j.plan); ok {
-			opts.ResumeFrom = blob
-		}
-	}
 	var res *machine.Results
 	var err error
 	if j.plan.prog != nil {
 		res, err = harness.RunProgramConfigChecked(j.plan.prog, cfg, opts)
-		if err != nil && len(opts.ResumeFrom) > 0 && isCheckpointErr(err) {
-			// The prefix heuristic guessed wrong (replay-verification
-			// rejected the blob): run cold. Correctness never depended on
-			// the warm start.
-			s.metrics.warmStartRejects.Add(1)
-			opts.ResumeFrom = nil
-			ckptBlob = nil
-			res, err = harness.RunProgramConfigChecked(j.plan.prog, cfg, opts)
-		} else if len(opts.ResumeFrom) > 0 {
-			s.metrics.warmStarts.Add(1)
-		}
 	} else {
 		res, err = harness.RunConfigChecked(j.plan.bench, cfg, opts)
 	}
@@ -384,9 +345,6 @@ func (s *Server) runJob(j *job) {
 		j.state = stateDone
 		j.result = body
 		s.cache.Put(j.plan.key, body)
-		if len(ckptBlob) > 0 {
-			s.cache.Put(ckptKeyPrefix+j.plan.key, ckptBlob)
-		}
 		s.metrics.completed.Add(1)
 		s.metrics.observeLatency(j.finished.Sub(j.submitted))
 	}

@@ -20,6 +20,7 @@ import (
 	"repro/internal/litmus"
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/tsoper"
 )
 
@@ -46,40 +47,74 @@ func runEquiv(t *testing.T, p tsoper.Profile, sys tsoper.System, o tsoper.RunOpt
 	return r, buf.Bytes()
 }
 
-// assertCheckpointResume is the checkpoint axis of the differential suite:
-// the same configuration run with a checkpoint taken at roughly the
-// midpoint, and again resumed from that blob, must both reproduce the
-// straight-through snapshot byte for byte.
-func assertCheckpointResume(t *testing.T, p tsoper.Profile, sys tsoper.System, o tsoper.RunOptions, cycles uint64, want []byte) {
+// equivConfig is the machine configuration tsoper.Run builds for these
+// options, so the checkpoint axis can drive the same run on the machine API.
+func equivConfig(sys tsoper.System, o tsoper.RunOptions) machine.Config {
+	cfg := tsoper.TableI(sys)
+	if o.Config != nil {
+		cfg = *o.Config
+	}
+	cfg.System = sys
+	cfg.Scheduler = o.Scheduler
+	if o.Protocol != tsoper.ProtocolSLC {
+		cfg.Coherence = o.Protocol
+	}
+	return cfg
+}
+
+// assertCheckpointResume is the checkpoint axis of the differential suite,
+// driven on the machine API. A fresh machine is paused at roughly the
+// midpoint of the straight-through run and checkpointed. The paused
+// machine, run on to the end, must reproduce the straight-through snapshot
+// byte for byte, and so must a machine restored from the blob; both must
+// finish on the same cycle with the same coherence order and durable image.
+func assertCheckpointResume(t *testing.T, cfg machine.Config, w *trace.Workload, straight *machine.Results, want []byte) {
 	t.Helper()
-	mid := cycles / 2
+	mid := straight.Cycles / 2
 	if mid == 0 {
 		mid = 1
 	}
-	var blob []byte
-	oc := o
-	oc.CheckpointEvery = mid
-	oc.OnCheckpoint = func(b []byte) {
-		if blob == nil {
-			blob = b // the midpoint blob, before any later stride
+	paused, err := machine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paused.Start(w)
+	if _, err := paused.Advance(mid); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := paused.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := machine.Restore(cfg, w, blob)
+	if err != nil {
+		t.Fatalf("restore at cycle %d (scheduler %s): %v", mid, cfg.Scheduler, err)
+	}
+	for _, run := range []struct {
+		name string
+		m    *machine.Machine
+	}{{"paused", paused}, {"restored", restored}} {
+		if done, err := run.m.Advance(sim.MaxTime); err != nil || !done {
+			t.Fatalf("%s run: done=%v err=%v", run.name, done, err)
 		}
-	}
-	_, sc := runEquiv(t, p, sys, oc)
-	if !bytes.Equal(sc, want) {
-		t.Fatalf("checkpointing perturbed the run (scheduler %s): %d bytes vs %d", o.Scheduler, len(sc), len(want))
-	}
-	if blob == nil {
-		t.Fatalf("no checkpoint emitted at stride %d", mid)
-	}
-	or := o
-	or.ResumeFrom = blob
-	rr, sr := runEquiv(t, p, sys, or)
-	if !bytes.Equal(sr, want) {
-		t.Fatalf("resumed run diverged from straight-through (scheduler %s, resumed at ~%d of %d cycles): %d bytes vs %d",
-			o.Scheduler, mid, cycles, len(sr), len(want))
-	}
-	if uint64(rr.Cycles) != cycles {
-		t.Fatalf("resumed run finished at cycle %d, straight-through at %d", rr.Cycles, cycles)
+		r := run.m.Results()
+		var got bytes.Buffer
+		if err := r.Snapshot().WriteJSON(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("%s run diverged from straight-through (scheduler %s, checkpoint at cycle %d of %d): %d bytes vs %d",
+				run.name, cfg.Scheduler, mid, straight.Cycles, got.Len(), len(want))
+		}
+		if r.Cycles != straight.Cycles {
+			t.Fatalf("%s run finished at cycle %d, straight-through at %d", run.name, r.Cycles, straight.Cycles)
+		}
+		if !reflect.DeepEqual(r.LineOrder, straight.LineOrder) {
+			t.Fatalf("%s run: coherence order diverged (scheduler %s)", run.name, cfg.Scheduler)
+		}
+		if !reflect.DeepEqual(r.Durable, straight.Durable) {
+			t.Fatalf("%s run: durable image diverged (scheduler %s)", run.name, cfg.Scheduler)
+		}
 	}
 }
 
@@ -115,8 +150,10 @@ func assertEquivalent(t *testing.T, p tsoper.Profile, sys tsoper.System, o tsope
 	if !reflect.DeepEqual(rh.Durable, rw.Durable) {
 		t.Fatal("durable NVM image differs between schedulers")
 	}
-	assertCheckpointResume(t, p, sys, oh, uint64(rh.Cycles), sh)
-	assertCheckpointResume(t, p, sys, ow, uint64(rw.Cycles), sw)
+	ch, cw := equivConfig(sys, oh), equivConfig(sys, ow)
+	w := tsoper.Generate(p.Scale(o.Scale), ch.Cores, o.Seed)
+	assertCheckpointResume(t, ch, w, rh, sh)
+	assertCheckpointResume(t, cw, w, rw, sw)
 }
 
 // TestSchedulerEquivalenceBenchmarks sweeps the figure roster.
@@ -198,12 +235,13 @@ func TestCheckpointEquivalenceLitmus(t *testing.T) {
 					cfg := machine.TableI(machine.TSOPER)
 					cfg.Cores = len(tt.Cores)
 					cfg.Scheduler = kind
+					w := tt.Workload(litmus.Perturb{Jitter: seed})
 
 					straight, err := machine.New(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					rs, err := straight.RunChecked(tt.Workload(litmus.Perturb{Jitter: seed}))
+					rs, err := straight.RunChecked(w)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -211,50 +249,7 @@ func TestCheckpointEquivalenceLitmus(t *testing.T) {
 					if err := rs.Snapshot().WriteJSON(&want); err != nil {
 						t.Fatal(err)
 					}
-
-					mid := rs.Cycles / 2
-					if mid == 0 {
-						mid = 1
-					}
-					m, err := machine.New(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					m.Start(tt.Workload(litmus.Perturb{Jitter: seed}))
-					if _, err := m.Advance(mid); err != nil {
-						t.Fatal(err)
-					}
-					blob, err := m.Checkpoint()
-					if err != nil {
-						t.Fatal(err)
-					}
-					resumed, err := machine.Restore(cfg, tt.Workload(litmus.Perturb{Jitter: seed}), blob)
-					if err != nil {
-						t.Fatalf("restore (scheduler %s): %v", kind, err)
-					}
-					for {
-						done, err := resumed.Advance(sim.MaxTime)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if done {
-							break
-						}
-					}
-					rr := resumed.Results()
-					var got bytes.Buffer
-					if err := rr.Snapshot().WriteJSON(&got); err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(got.Bytes(), want.Bytes()) {
-						t.Fatalf("resumed litmus run diverged (scheduler %s, mid %d)", kind, mid)
-					}
-					if !reflect.DeepEqual(rr.LineOrder, rs.LineOrder) {
-						t.Fatalf("coherence order diverged after resume (scheduler %s)", kind)
-					}
-					if !reflect.DeepEqual(rr.Durable, rs.Durable) {
-						t.Fatalf("durable image diverged after resume (scheduler %s)", kind)
-					}
+					assertCheckpointResume(t, cfg, w, rs, want.Bytes())
 				}
 			})
 		}
@@ -306,45 +301,18 @@ func TestSchedulerEquivalencePrograms(t *testing.T) {
 					t.Fatal("durable NVM image differs between schedulers")
 				}
 
-				// Checkpoint axis: midpoint checkpoint + resume reproduces
-				// the straight-through bytes on each scheduler.
-				for _, kind := range []sim.SchedulerKind{tsoper.SchedulerHeap, tsoper.SchedulerWheel} {
-					want := sh
-					if kind == tsoper.SchedulerWheel {
-						want = sw
-					}
-					mid := uint64(rh.Cycles) / 2
-					if mid == 0 {
-						mid = 1
-					}
-					var blob []byte
-					_, err := tsoper.RunProgram(p, sys, tsoper.RunOptions{
-						Seed: seed, Scheduler: kind, CheckpointEvery: mid,
-						OnCheckpoint: func(b []byte) {
-							if blob == nil {
-								blob = b
-							}
-						},
-					})
+				// Checkpoint axis on each scheduler.
+				for _, run := range []struct {
+					kind tsoper.Scheduler
+					res  *tsoper.Results
+					want []byte
+				}{{tsoper.SchedulerHeap, rh, sh}, {tsoper.SchedulerWheel, rw, sw}} {
+					cfg := equivConfig(sys, tsoper.RunOptions{Scheduler: run.kind})
+					w, err := tsoper.CompileProgram(p, cfg, seed)
 					if err != nil {
-						t.Fatalf("checkpointed run: %v", err)
-					}
-					if blob == nil {
-						t.Fatalf("no checkpoint emitted at stride %d", mid)
-					}
-					rr, err := tsoper.RunProgram(p, sys, tsoper.RunOptions{
-						Seed: seed, Scheduler: kind, ResumeFrom: blob,
-					})
-					if err != nil {
-						t.Fatalf("resumed run: %v", err)
-					}
-					var buf bytes.Buffer
-					if err := rr.Snapshot().WriteJSON(&buf); err != nil {
 						t.Fatal(err)
 					}
-					if !bytes.Equal(buf.Bytes(), want) {
-						t.Fatalf("resumed program run diverged (scheduler %s)", kind)
-					}
+					assertCheckpointResume(t, cfg, w, run.res, run.want)
 				}
 			})
 		}

@@ -28,7 +28,6 @@ import (
 	"strings"
 
 	"repro/internal/checker"
-	"repro/internal/ckpt"
 	"repro/internal/harness"
 	"repro/internal/machine"
 	"repro/internal/program"
@@ -122,7 +121,9 @@ const (
 	SchedulerHeap = sim.SchedulerHeap
 )
 
-// RunOptions tunes a single simulation run.
+// RunOptions tunes a single simulation run. Every run simulates from
+// cycle 0 to completion on a fresh machine, and its results are a
+// deterministic function of the workload, the configuration and the seed.
 type RunOptions struct {
 	// Scale multiplies the profile's OpsPerCore (0 or 1 = full size).
 	Scale float64
@@ -135,20 +136,6 @@ type RunOptions struct {
 	Protocol Protocol
 	// Config overrides the Table I configuration when non-nil.
 	Config *Config
-
-	// CheckpointEvery, when positive, pauses the run every that many cycles
-	// and hands a checkpoint blob to OnCheckpoint. Checkpoints are
-	// replay-verified on restore and do not perturb the simulation: a
-	// checkpointed run produces byte-identical results to a straight one.
-	CheckpointEvery uint64
-	// OnCheckpoint receives each checkpoint blob (and one final blob when
-	// the run completes). Ignored when CheckpointEvery is 0.
-	OnCheckpoint func(blob []byte)
-	// ResumeFrom, when non-empty, restores the run from a checkpoint blob
-	// instead of starting at cycle 0. The config must match the blob's
-	// canonical hash; the workload must replay to the checkpointed state
-	// (an extension of the checkpointed workload also qualifies).
-	ResumeFrom []byte
 }
 
 func (o RunOptions) config(system System) Config {
@@ -188,34 +175,17 @@ func Run(p Profile, system System, o RunOptions) (*Results, error) {
 		return nil, fmt.Errorf("tsoper: %w", err)
 	}
 	w := trace.Generate(o.scale(p), cfg.Cores, o.seed())
-	return runWorkload(cfg, w, o)
+	return runWorkload(cfg, w)
 }
 
-// runWorkload runs the harness loop under the options' checkpoint settings.
-func runWorkload(cfg Config, w *Workload, o RunOptions) (*Results, error) {
-	r, err := harness.RunWorkload(cfg, w, harness.Options{
-		CheckpointEvery: sim.Time(o.CheckpointEvery),
-		OnCheckpoint:    o.OnCheckpoint,
-		ResumeFrom:      o.ResumeFrom,
-	})
+// runWorkload simulates the workload to completion on a fresh machine.
+func runWorkload(cfg Config, w *Workload) (*Results, error) {
+	r, err := harness.RunWorkload(cfg, w)
 	if err != nil {
 		return nil, fmt.Errorf("tsoper: %w", err)
 	}
 	return r, nil
 }
-
-// Checkpoint-blob helpers re-exported from the wire-format package.
-var (
-	// ErrCheckpointFormat marks a blob that is not a checkpoint.
-	ErrCheckpointFormat = ckpt.ErrFormat
-	// ErrCheckpointVersion marks an incompatible format version.
-	ErrCheckpointVersion = ckpt.ErrVersion
-	// ErrCheckpointConfig marks a restore under a mismatched config.
-	ErrCheckpointConfig = ckpt.ErrConfigMismatch
-	// ErrCheckpointDivergence marks a replay that did not reproduce the
-	// checkpointed state byte-for-byte.
-	ErrCheckpointDivergence = ckpt.ErrDivergence
-)
 
 // Crash simulates until the given cycle, then injects a power failure and
 // returns the recovered durable state.
@@ -297,5 +267,5 @@ func RunProgram(p *Program, system System, o RunOptions) (*Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	return runWorkload(cfg, w, o)
+	return runWorkload(cfg, w)
 }
