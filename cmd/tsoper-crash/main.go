@@ -361,7 +361,10 @@ func runMutation(seed int64, budget int) (*crashmc.Report, error) {
 	for _, kind := range []machine.SystemKind{machine.TSOPER, machine.STW} {
 		p := crashmc.Adversaries()[0]
 		cfg := machine.TableI(kind)
-		points, horizon := crashmc.Harvest(p, cfg, seed, budget)
+		points, horizon, err := crashmc.HarvestWorkload(cfg, trace.Generate(p, cfg.Cores, seed), budget)
+		if err != nil {
+			return nil, fmt.Errorf("crashmc: %w", err)
+		}
 		reversed := make([]uint64, 0, len(points)+1)
 		reversed = append(reversed, horizon)
 		for i := len(points) - 1; i >= 0; i-- {

@@ -23,8 +23,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/mem"
-	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Violation describes a persistency violation found in a crash state.
@@ -155,41 +153,6 @@ func checkImage(cs *machine.CrashState, durable map[uint64]*core.Group) error {
 				Rule:   "coherence-order",
 				Detail: fmt.Sprintf("line %v recovered as %v, never in coherence order", l, got),
 			}
-		}
-	}
-	return nil
-}
-
-// Campaign runs crash injections at the given cycles for a fresh machine
-// per crash, returning the first violation (nil if all pass).
-type Campaign struct {
-	// Crashes counts injections performed; DurableGroups accumulates the
-	// durable-group count across crashes (to confirm the campaign
-	// exercised non-trivial states).
-	Crashes       int
-	DurableGroups int
-	PartialStates int
-}
-
-// Run executes a crash campaign: build is called per injection to produce a
-// fresh machine and workload pair.
-func (c *Campaign) Run(build func() (*machine.Machine, *trace.Workload), cycles []sim.Time) error {
-	for _, at := range cycles {
-		m, w := build()
-		cs := m.RunWithCrash(w, at)
-		c.Crashes++
-		nd := 0
-		for _, g := range cs.Groups {
-			if g.State() >= core.Durable {
-				nd++
-			}
-		}
-		c.DurableGroups += nd
-		if nd > 0 && nd < len(cs.Groups) {
-			c.PartialStates++
-		}
-		if err := Check(cs); err != nil {
-			return fmt.Errorf("crash at cycle %d: %w", at, err)
 		}
 	}
 	return nil

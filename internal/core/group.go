@@ -204,9 +204,6 @@ func (g *Group) Deps() []*Group {
 	return out
 }
 
-// PendingTails returns how many member lines are not yet list tails.
-func (g *Group) PendingTails() int { return len(g.pendingTail) }
-
 func (g *Group) String() string {
 	return fmt.Sprintf("AG{core %d #%d %s size %d}", g.Core, g.Seq, g.state, g.Size())
 }

@@ -94,13 +94,6 @@ func (t *Tracker) Peek() *Group { return t.open }
 // Live returns the number of not-yet-durable groups.
 func (t *Tracker) Live() int { return len(t.live) }
 
-// LiveGroups returns the live groups oldest-first.
-func (t *Tracker) LiveGroups() []*Group {
-	out := make([]*Group, len(t.live))
-	copy(out, t.live)
-	return out
-}
-
 // FrozenHolder returns the non-open live group containing line l as a dirty
 // member, if any — the group a store to l must wait for (§II-A: a store
 // into a frozen group's line blocks until that group persists).

@@ -8,10 +8,8 @@ import (
 	"sync"
 
 	"repro/internal/checker"
-	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/program"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -89,11 +87,11 @@ type Spec struct {
 	// Coherence selects the coherence backend for every tuple (default
 	// SLC); it applies after Config, overriding its Coherence field.
 	Coherence machine.CoherenceKind
-	// FullReplay forces the legacy execution mode: one fresh machine
-	// replayed from cycle 0 per crash point. The default shares one
-	// machine per ascending chunk of crash points, advancing it
-	// incrementally and capturing the crash state at each point — the
-	// same deterministic injections at a fraction of the simulated cycles.
+	// FullReplay runs the reference execution, Replay: one fresh machine
+	// from cycle 0 per crash point. The default, Sweep, shares one machine
+	// per ascending chunk of crash points, advancing it incrementally and
+	// capturing the crash state at each point — the same deterministic
+	// injections at a fraction of the simulated cycles.
 	FullReplay bool
 	// Config overrides the per-system machine configuration (nil: Table I).
 	Config func(machine.SystemKind) machine.Config
@@ -150,11 +148,12 @@ func (tp *tuple) workload(cfg machine.Config, seed int64) *trace.Workload {
 	return trace.Generate(tp.bench, cfg.Cores, seed)
 }
 
-// Run executes the campaign: resolves crash points per tuple (instrumented
-// harvest runs execute in parallel too), fans the injections out over the
-// worker pool, and aggregates the artifact. Simulations are fully
-// deterministic, so the report is identical for identical specs regardless
-// of worker count.
+// Run executes the campaign: resolves crash points per tuple (the probed
+// harvest runs execute in parallel too), sweeps them over the worker pool,
+// and aggregates the artifact. Simulations are fully deterministic, so the
+// report is identical for identical specs regardless of worker count. A
+// configuration machine.New rejects, or a wedged harvest run, fails the
+// campaign with an error.
 func Run(spec Spec) (*Report, error) {
 	if len(spec.Benchmarks)+len(spec.Programs) == 0 || len(spec.Systems) == 0 {
 		return nil, errors.New("crashmc: campaign needs at least one workload and one system")
@@ -186,9 +185,13 @@ func Run(spec Spec) (*Report, error) {
 			tuples = append(tuples, &tuple{name: p.Name, prog: p, system: k, cfg: cfg})
 		}
 	}
+	resolveErrs := make([]error, len(tuples))
 	runParallel(len(tuples), spec.workers(), func(i int) {
-		tuples[i].points = spec.resolvePoints(tuples[i], int64(i))
+		tuples[i].points, resolveErrs[i] = spec.resolvePoints(tuples[i], int64(i))
 	})
+	if err := firstError(resolveErrs); err != nil {
+		return nil, err
+	}
 
 	type job struct {
 		tuple *tuple
@@ -200,22 +203,16 @@ func Run(spec Spec) (*Report, error) {
 			jobs = append(jobs, job{tp, at})
 		}
 	}
-	injections := make([]Injection, len(jobs))
-	if spec.FullReplay {
-		runParallel(len(jobs), spec.workers(), func(i int) {
-			injections[i] = spec.runOne(jobs[i].tuple, jobs[i].at)
-		})
-		return spec.assemble(tuples, injections), nil
-	}
 
-	// Incremental mode: per tuple, sort the crash points and split them
-	// into contiguous ascending chunks; one machine per chunk advances
-	// through its points, capturing the crash state at each.
-	// The injections land at their original indices, so the report is
-	// byte-identical to full-replay mode.
-	perTuple := spec.workers() / len(tuples)
-	if perTuple < 1 {
-		perTuple = 1
+	// Per tuple, sort the crash points and split them into contiguous
+	// ascending chunks; Sweep runs one machine per chunk through its
+	// points. Full replay restarts from cycle 0 at every point anyway, so it
+	// runs Replay over one-point chunks, as parallel as the fork. The
+	// injections land at their original indices, so the report is the same
+	// either way.
+	sweep, perTuple := Sweep, max(spec.workers()/len(tuples), 1)
+	if spec.FullReplay {
+		sweep, perTuple = Replay, len(jobs)
 	}
 	var chunks [][]int
 	base := 0
@@ -228,22 +225,35 @@ func Run(spec Spec) (*Report, error) {
 		sort.Slice(idxs, func(a, b int) bool { return jobs[idxs[a]].at < jobs[idxs[b]].at })
 		chunks = append(chunks, splitChunks(idxs, perTuple)...)
 	}
+	injections := make([]Injection, len(jobs))
+	sweepErrs := make([]error, len(chunks))
 	runParallel(len(chunks), spec.workers(), func(ci int) {
 		idxs := chunks[ci]
 		tp := jobs[idxs[0]].tuple
 		cfg := tp.cfg
 		cfg.CrashFault = spec.Fault
-		m, err := machine.New(cfg)
-		if err != nil {
-			panic("crashmc: " + err.Error())
+		points := make([]uint64, len(idxs))
+		for k, ji := range idxs {
+			points[k] = jobs[ji].at
 		}
-		m.StartCrashRun(tp.workload(cfg, spec.Seed))
-		for _, ji := range idxs {
-			m.AdvanceTo(sim.Time(jobs[ji].at))
-			injections[ji] = spec.evaluate(tp, jobs[ji].at, cfg, m.CaptureCrashState())
-		}
+		sweepErrs[ci] = sweep(cfg, tp.workload(cfg, spec.Seed), points, func(k int, cs *machine.CrashState) {
+			injections[idxs[k]] = spec.evaluate(tp, points[k], cfg, cs)
+		})
 	})
+	if err := firstError(sweepErrs); err != nil {
+		return nil, err
+	}
 	return spec.assemble(tuples, injections), nil
+}
+
+// firstError wraps the first non-nil error of a parallel stage.
+func firstError(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return fmt.Errorf("crashmc: %w", err)
+		}
+	}
+	return nil
 }
 
 // splitChunks partitions idxs (already sorted by crash cycle) into at most n
@@ -270,7 +280,7 @@ func splitChunks(idxs []int, n int) [][]int {
 
 // resolvePoints materializes the tuple's crash points under the spec's
 // strategy. idx decorrelates the random streams of different tuples.
-func (spec Spec) resolvePoints(tp *tuple, idx int64) []uint64 {
+func (spec Spec) resolvePoints(tp *tuple, idx int64) ([]uint64, error) {
 	first, step := spec.First, spec.Step
 	if first == 0 {
 		first = 500
@@ -280,40 +290,23 @@ func (spec Spec) resolvePoints(tp *tuple, idx int64) []uint64 {
 	}
 	switch spec.Strategy {
 	case StrategyUniform:
-		return UniformPoints(first, step, spec.Points)
+		return UniformPoints(first, step, spec.Points), nil
 	case StrategyRandom:
-		_, horizon := spec.harvest(tp, 1)
-		return RandomPoints(horizon, spec.Points, spec.Seed+idx*7919)
+		_, horizon, err := HarvestWorkload(tp.cfg, tp.workload(tp.cfg, spec.Seed), 1)
+		if err != nil {
+			return nil, err
+		}
+		return RandomPoints(horizon, spec.Points, spec.Seed+idx*7919), nil
 	default: // StrategyEvents
-		points, horizon := spec.harvest(tp, spec.Points)
+		points, horizon, err := HarvestWorkload(tp.cfg, tp.workload(tp.cfg, spec.Seed), spec.Points)
+		if err != nil {
+			return nil, err
+		}
 		if missing := spec.Points - len(points); missing > 0 {
 			points = append(points, RandomPoints(horizon, missing, spec.Seed+idx*7919)...)
 		}
-		return points
+		return points, nil
 	}
-}
-
-// harvest instruments one full run of the tuple's workload and returns its
-// persistency-transition cycles plus the run horizon.
-func (spec Spec) harvest(tp *tuple, budget int) ([]uint64, uint64) {
-	points, horizon, err := HarvestWorkload(tp.cfg, tp.workload(tp.cfg, spec.Seed), budget)
-	if err != nil {
-		panic("crashmc: " + err.Error())
-	}
-	return points, horizon
-}
-
-// runOne performs a single full-replay crash injection and checks the
-// recovered state (Spec.FullReplay mode).
-func (spec Spec) runOne(tp *tuple, at uint64) Injection {
-	cfg := tp.cfg
-	cfg.CrashFault = spec.Fault
-	m, err := machine.New(cfg)
-	if err != nil {
-		panic("crashmc: " + err.Error())
-	}
-	w := tp.workload(cfg, spec.Seed)
-	return spec.evaluate(tp, at, cfg, m.RunWithCrash(w, sim.Time(at)))
 }
 
 // evaluate checks one recovered crash state and summarizes it.
@@ -324,11 +317,7 @@ func (spec Spec) evaluate(tp *tuple, at uint64, cfg machine.Config, cs *machine.
 		Seed:      spec.Seed,
 		At:        at,
 		Groups:    len(cs.Groups),
-	}
-	for _, g := range cs.Groups {
-		if g.State() >= core.Durable {
-			inj.Durable++
-		}
+		Durable:   cs.DurableGroups(),
 	}
 	inj.Partial = inj.Durable > 0 && inj.Durable < len(cs.Groups)
 	if spec.Fault != machine.FaultNone {

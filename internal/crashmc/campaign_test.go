@@ -3,10 +3,12 @@ package crashmc
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/machine"
 	"repro/internal/program"
+	"repro/internal/trace"
 )
 
 func smokeSpec() Spec {
@@ -88,9 +90,19 @@ func TestRandomStrategyClean(t *testing.T) {
 	}
 }
 
+// harvest generates the profile's workload and harvests its crash points.
+func harvest(t *testing.T, p trace.Profile, cfg machine.Config, seed int64, budget int) ([]uint64, uint64) {
+	t.Helper()
+	points, horizon, err := HarvestWorkload(cfg, trace.Generate(p, cfg.Cores, seed), budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return points, horizon
+}
+
 func TestHarvestFindsEventCycles(t *testing.T) {
 	p := Adversaries()[0]
-	points, horizon := Harvest(p, machine.TableI(machine.TSOPER), 42, 40)
+	points, horizon := harvest(t, p, machine.TableI(machine.TSOPER), 42, 40)
 	if len(points) == 0 {
 		t.Fatal("instrumented run harvested no event cycles")
 	}
@@ -146,6 +158,45 @@ func TestCampaignValidation(t *testing.T) {
 	spec.Points = 0
 	if _, err := Run(spec); err == nil {
 		t.Fatal("zero point budget accepted")
+	}
+}
+
+// A configuration machine.New rejects comes back as an error, whether the
+// harvest (events) or the sweep (uniform, forked or replayed) meets it
+// first — even when it surfaces in a worker goroutine.
+func TestRunRejectsInvalidConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		strategy   Strategy
+		fullReplay bool
+	}{
+		{"events", StrategyEvents, false},
+		{"uniform", StrategyUniform, false},
+		{"uniform-replay", StrategyUniform, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := Spec{
+				Benchmarks: Adversaries()[:2],
+				Systems:    []machine.SystemKind{machine.TSOPER},
+				Seed:       1,
+				Points:     4,
+				Strategy:   tc.strategy,
+				FullReplay: tc.fullReplay,
+				Parallel:   2,
+				Config: func(k machine.SystemKind) machine.Config {
+					cfg := machine.TableI(k)
+					cfg.AGLimit = 0
+					return cfg
+				},
+			}
+			report, err := Run(spec)
+			if err == nil || report != nil {
+				t.Fatalf("invalid config: report %v, err %v", report, err)
+			}
+			if !strings.HasPrefix(err.Error(), "crashmc: ") || !strings.Contains(err.Error(), "AG limit") {
+				t.Fatalf("error %q does not name the rejected AG limit", err)
+			}
+		})
 	}
 }
 

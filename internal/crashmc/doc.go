@@ -9,11 +9,15 @@
 // specific transitions, not at evenly spaced cycles. The package therefore
 // provides four layers:
 //
-//   - Crash-point exploration (points.go): a first instrumented run harvests
-//     the cycles of every persistency transition — atomic-group freezes,
-//     AGB ingress and egress, persist-token hand-offs, eviction-buffer
-//     drains — and campaigns crash at those cycles and their neighbors,
-//     topped up with seeded random sweeps.
+//   - Crash-point exploration (points.go): a first probed run
+//     (HarvestWorkload) harvests the cycles of every persistency
+//     transition — atomic-group freezes, AGB ingress and egress,
+//     persist-token hand-offs, eviction-buffer drains — and campaigns crash
+//     at those cycles and their neighbors, topped up with seeded random
+//     sweeps. Every crash sweep, here and in the litmus explorer, goes
+//     through Sweep, which advances one machine through ascending points
+//     and captures the state at each; Replay, a fresh machine per point, is
+//     its reference.
 //   - Adversarial workloads (adversary.go): trace.Profile schedules built to
 //     stress the machinery — contended hot lines, eviction storms,
 //     AG-size-limit pressure, cross-core dependency chains — plus a

@@ -9,6 +9,7 @@ import (
 	"repro/internal/checker"
 	"repro/internal/ckpt"
 	"repro/internal/core"
+	"repro/internal/faultplan"
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -43,6 +44,76 @@ func TestIncrementalMatchesFullReplay(t *testing.T) {
 	sb, _ := json.Marshal(slow)
 	if string(fb) != string(sb) {
 		t.Fatalf("incremental and full-replay reports differ:\nincremental: %s\nfull: %s", fb, sb)
+	}
+}
+
+// TestSweepMatchesReplayUnderFaultPresets holds the forked sweep to its
+// replay reference while runtime faults are being injected and recovered:
+// under every fault preset, Sweep and Replay must reach the same crash state
+// at each of 12 ascending points over the faulted horizon.
+func TestSweepMatchesReplayUnderFaultPresets(t *testing.T) {
+	bench := Adversaries()[0].Scale(0.3)
+	type summary struct {
+		groups, durable, image int
+		stalled                bool
+		ledger                 faultplan.Counts
+		verdict                string
+	}
+	summarize := func(cs *machine.CrashState) summary {
+		s := summary{
+			groups:  len(cs.Groups),
+			durable: cs.DurableGroups(),
+			image:   len(cs.Image),
+			stalled: cs.Stalled,
+			ledger:  cs.FaultCounts,
+		}
+		if err := checker.Check(cs); err != nil {
+			s.verdict = err.Error()
+		}
+		return s
+	}
+	for _, sch := range faultplan.Presets() {
+		sch := sch
+		t.Run(sch.Name, func(t *testing.T) {
+			cfg := machine.TableI(machine.TSOPER)
+			cfg.Faults = &sch
+			w := trace.Generate(bench, cfg.Cores, 42)
+			m, err := machine.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := m.RunChecked(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			points := make([]uint64, 12)
+			for i := range points {
+				points[i] = uint64(res.DrainCycles) * uint64(i+1) / uint64(len(points)+1)
+			}
+
+			var forked, replayed []summary
+			if err := Sweep(cfg, w, points, func(_ int, cs *machine.CrashState) {
+				forked = append(forked, summarize(cs))
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := Replay(cfg, w, points, func(_ int, cs *machine.CrashState) {
+				replayed = append(replayed, summarize(cs))
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if len(forked) != len(points) || len(replayed) != len(points) {
+				t.Fatalf("visited %d forked and %d replayed states, want %d", len(forked), len(replayed), len(points))
+			}
+			for i := range points {
+				if forked[i] != replayed[i] {
+					t.Fatalf("at %d: forked %+v, replayed %+v", points[i], forked[i], replayed[i])
+				}
+			}
+			if forked[len(points)-1].ledger.Injected() == 0 {
+				t.Fatalf("no fault injected by cycle %d: the preset went untested", points[len(points)-1])
+			}
+		})
 	}
 }
 

@@ -15,7 +15,7 @@ func TestMutationKillsAllFaults(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			p := Adversaries()[0] // contended hot lines: every fault finds targets
 			cfg := machine.TableI(kind)
-			points, horizon := Harvest(p, cfg, 42, 60)
+			points, horizon := harvest(t, p, cfg, 42, 60)
 			// Walk points newest-first: late crashes have rich journals
 			// (durable + frozen + open groups), so faults apply quickly.
 			reversed := make([]uint64, 0, len(points)+1)

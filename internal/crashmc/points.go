@@ -5,28 +5,18 @@ import (
 	"sort"
 
 	"repro/internal/machine"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// Harvest runs one fully instrumented simulation of the workload and
-// returns (a) the interesting crash cycles — every persistency-transition
-// cycle plus its immediate successor, deduplicated and sorted — and (b) the
+// HarvestWorkload runs one probed simulation of the workload and returns
+// (a) the interesting crash cycles — every persistency-transition cycle
+// plus its immediate successor, deduplicated and sorted — and (b) the
 // horizon, the cycle at which the end-of-run drain completed (random sweeps
 // draw from [1, horizon]). When more than budget cycles are harvested they
 // are thinned by an even stride so coverage stays spread across the run
-// (budget <= 0 keeps everything).
-func Harvest(p trace.Profile, cfg machine.Config, seed int64, budget int) ([]uint64, uint64) {
-	points, horizon, err := HarvestWorkload(cfg, trace.Generate(p, cfg.Cores, seed), budget)
-	if err != nil {
-		panic("crashmc: " + err.Error())
-	}
-	return points, horizon
-}
-
-// HarvestWorkload is Harvest for an explicit workload (the litmus explorer
-// supplies hand-built per-core programs rather than generated profiles). It
-// returns wedged-run failures — watchdog stalls, deadlocks, lost persists —
-// as errors instead of panicking.
+// (budget <= 0 keeps everything). Configuration errors and wedged runs —
+// watchdog stalls, deadlocks, lost persists — come back as errors.
 func HarvestWorkload(cfg machine.Config, w *trace.Workload, budget int) ([]uint64, uint64, error) {
 	seen := map[uint64]bool{}
 	cfg.Probe = func(e machine.Event) {
@@ -57,6 +47,39 @@ func HarvestWorkload(cfg machine.Config, w *trace.Workload, budget int) ([]uint6
 		points = thinned
 	}
 	return points, uint64(res.DrainCycles), nil
+}
+
+// Sweep crashes the workload at each of an ascending run of cycles and
+// hands visit each point's index and crash state. It forks: one machine
+// starts the workload once and advances from each point to the next,
+// capturing the state at every stop, so the shared prefix simulates once.
+// A capture is a snapshot the machine never changes afterwards. The only
+// error is a configuration machine.New rejects.
+func Sweep(cfg machine.Config, w *trace.Workload, points []uint64, visit func(i int, cs *machine.CrashState)) error {
+	m, err := machine.New(cfg)
+	if err != nil {
+		return err
+	}
+	m.StartCrashRun(w)
+	for i, at := range points {
+		m.AdvanceTo(sim.Time(at))
+		visit(i, m.CaptureCrashState())
+	}
+	return nil
+}
+
+// Replay is Sweep's reference: a fresh machine runs the workload from cycle
+// 0 to each point, so every state costs its whole prefix and the points may
+// come in any order. Sweep must visit the same states.
+func Replay(cfg machine.Config, w *trace.Workload, points []uint64, visit func(i int, cs *machine.CrashState)) error {
+	for i, at := range points {
+		m, err := machine.New(cfg)
+		if err != nil {
+			return err
+		}
+		visit(i, m.RunWithCrash(w, sim.Time(at)))
+	}
+	return nil
 }
 
 // RandomPoints returns n seeded random crash cycles in [1, horizon],

@@ -9,10 +9,8 @@ import (
 	"runtime"
 
 	"repro/internal/checker"
-	"repro/internal/core"
 	"repro/internal/faultplan"
 	"repro/internal/machine"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -340,29 +338,15 @@ func (spec ResilienceSpec) runCell(bench trace.Profile, kind machine.SystemKind,
 	}
 
 	// Crash points: uniform over the faulted horizon, endpoints excluded.
-	// They ascend, so one machine advances through them all, capturing the
-	// crash state at each.
-	cm, err := machine.New(cfg)
-	if err != nil {
-		fail(0, "violation", err.Error(), "")
-		return
+	// They ascend, so one sweep advances through them all.
+	points := make([]uint64, spec.Points)
+	for i := range points {
+		points[i] = max(c.FaultedCycles*uint64(i+1)/uint64(spec.Points+1), 1)
 	}
-	cm.StartCrashRun(trace.Generate(bench, cfg.Cores, spec.Seed))
-	for i := 0; i < spec.Points; i++ {
-		at := c.FaultedCycles * uint64(i+1) / uint64(spec.Points+1)
-		if at == 0 {
-			at = 1
-		}
-		cm.AdvanceTo(sim.Time(at))
-		cs := cm.CaptureCrashState()
+	err = Sweep(cfg, trace.Generate(bench, cfg.Cores, spec.Seed), points, func(i int, cs *machine.CrashState) {
+		at := points[i]
 		c.Points++
-		durable := 0
-		for _, g := range cs.Groups {
-			if g.State() >= core.Durable {
-				durable++
-			}
-		}
-		if durable > 0 && durable < len(cs.Groups) {
+		if d := cs.DurableGroups(); d > 0 && d < len(cs.Groups) {
 			c.Partial++
 		}
 		if cs.Stalled {
@@ -380,5 +364,8 @@ func (spec ResilienceSpec) runCell(bench trace.Profile, kind machine.SystemKind,
 			}
 			fail(at, "violation", err.Error(), rule)
 		}
+	})
+	if err != nil {
+		fail(0, "violation", err.Error(), "")
 	}
 }

@@ -11,7 +11,7 @@ import (
 func findFailing(t *testing.T) Failure {
 	t.Helper()
 	p := Adversaries()[0]
-	points, horizon := Harvest(p, machine.TableI(machine.TSOPER), 42, 40)
+	points, horizon := harvest(t, p, machine.TableI(machine.TSOPER), 42, 40)
 	points = append(points, horizon)
 	for i := len(points) - 1; i >= 0; i-- {
 		f := Failure{

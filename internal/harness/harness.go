@@ -93,14 +93,21 @@ func RunOneChecked(bench trace.Profile, kind machine.SystemKind, o Options) (*ma
 // arms the stall watchdog, bounding how long a wedged simulation can hold a
 // worker.
 func RunConfigChecked(bench trace.Profile, cfg machine.Config, o Options) (*machine.Results, error) {
+	cfg = o.override(cfg)
+	w := trace.Generate(bench.Scale(o.scale()), cfg.Cores, o.Seed)
+	return RunWorkload(cfg, w)
+}
+
+// override applies the options that take precedence over an explicit
+// configuration: Protocol and Timeout.
+func (o Options) override(cfg machine.Config) machine.Config {
 	if o.Protocol != machine.CoherenceSLC {
 		cfg.Coherence = o.Protocol
 	}
 	if o.Timeout > 0 {
 		cfg.WatchdogHorizon = o.Timeout
 	}
-	w := trace.Generate(bench.Scale(o.scale()), cfg.Cores, o.Seed)
-	return RunWorkload(cfg, w)
+	return cfg
 }
 
 // RunWorkload simulates one workload on a fresh machine to completion,

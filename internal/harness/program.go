@@ -26,9 +26,7 @@ func RunProgramChecked(p *program.Program, kind machine.SystemKind, o Options) (
 // wedged-run failures as errors. Determinism matches the profile path: the
 // result is a pure function of (program, config, seed).
 func RunProgramConfigChecked(p *program.Program, cfg machine.Config, o Options) (*machine.Results, error) {
-	if o.Timeout > 0 {
-		cfg.WatchdogHorizon = o.Timeout
-	}
+	cfg = o.override(cfg)
 	w, err := p.Compile(envFor(cfg), o.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %w", err)

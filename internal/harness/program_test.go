@@ -116,6 +116,31 @@ func TestRunProgramChecked(t *testing.T) {
 	}
 }
 
+// Options.Protocol overrides an explicit config's Coherence on program runs
+// exactly as it does on profile runs: selecting tardis through the options
+// or through the config must give the same snapshot bytes.
+func TestProgramRunHonoursProtocol(t *testing.T) {
+	t.Parallel()
+	p, err := program.ByName("producer-consumer-ring")
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaOptions, err := RunProgramConfigChecked(p, machine.TableI(machine.TSOPER),
+		Options{Seed: 3, Protocol: machine.CoherenceTardis})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := machine.TableI(machine.TSOPER)
+	cfg.Coherence = machine.CoherenceTardis
+	viaConfig, err := RunProgramConfigChecked(p, cfg, Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := snapJSON(t, viaOptions), snapJSON(t, viaConfig); !bytes.Equal(a, b) {
+		t.Fatalf("Options.Protocol ignored on a program run:\noptions: %s\nconfig:  %s", a, b)
+	}
+}
+
 func TestEstimateProgram(t *testing.T) {
 	t.Parallel()
 	p, err := program.ByName("log-structured-writer")

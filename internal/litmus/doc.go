@@ -16,13 +16,13 @@
 // across every harvested persistency-transition crash cycle (reusing
 // crashmc's probe-event harvesting), a sweep of interleaving perturbations
 // (per-core start skews and seeded inter-op jitter), and collects the set
-// of reachable durable outcomes. The sweep forks as crashmc's campaigns do:
-// per perturbation, one machine starts the lowered workload once and
-// advances through the ascending crash points, capturing the crash state at
-// each (machine.StartCrashRun, AdvanceTo, CaptureCrashState), so the prefix
-// up to each point simulates once rather than once per later point. A test
-// keeps the per-point replay (a fresh machine run from cycle 0 to each
-// point) as the reference the forked Results must match byte for byte.
+// of reachable durable outcomes. Crash states come from crashmc.Sweep, the
+// forked sweep every campaign uses: per perturbation, one machine starts
+// the lowered workload once and advances through the ascending crash
+// points, capturing the crash state at each, so the prefix up to each point
+// simulates once rather than once per later point. A test swaps in
+// crashmc.Replay (a fresh machine run from cycle 0 to each point) as the
+// reference the forked Results must match byte for byte.
 // Conformance demands three things at once:
 //
 //  1. soundness — every reached outcome is in the allowed set;

@@ -71,10 +71,10 @@ func decodeFuzz(data []byte) *Test {
 }
 
 func FuzzLitmus(f *testing.F) {
-	f.Add([]byte{0x00, 0x05, 0xFF, 0x04, 0x01})       // sb
-	f.Add([]byte{0x00, 0x04, 0xFF, 0x05, 0x01})       // mp
-	f.Add([]byte{0x00, 0xFF, 0x00})                   // waw conflict
-	f.Add([]byte{0x03, 0x07})                         // rmw chain
+	f.Add([]byte{0x00, 0x05, 0xFF, 0x04, 0x01})             // sb
+	f.Add([]byte{0x00, 0x04, 0xFF, 0x05, 0x01})             // mp
+	f.Add([]byte{0x00, 0xFF, 0x00})                         // waw conflict
+	f.Add([]byte{0x03, 0x07})                               // rmw chain
 	f.Add([]byte{0x00, 0x02, 0x04, 0xFF, 0x05, 0x02, 0x01}) // fenced mp
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tt := decodeFuzz(data)

@@ -187,7 +187,8 @@ type Config struct {
 	// Probe, when non-nil, observes every persistency transition (group
 	// freeze, AGB ingress/egress, persist-token hand-off, eviction-buffer
 	// drain). Crash campaigns harvest the event cycles as targeted crash
-	// points. Internally the probe is a sink on the telemetry bus.
+	// points. The machine calls it directly, stamped with the current
+	// cycle; it needs no telemetry bus and switches none on.
 	Probe func(Event)
 
 	// CrashFault, when not FaultNone, deliberately corrupts the recovered

@@ -60,27 +60,7 @@ type CrashState struct {
 func (m *Machine) RunWithCrash(w *trace.Workload, at sim.Time) *CrashState {
 	m.StartCrashRun(w)
 	m.AdvanceTo(at)
-
-	cs := &CrashState{
-		System:       m.cfg.System,
-		At:           m.engine.Now(),
-		Image:        make(map[mem.Line]mem.Version),
-		Groups:       m.journal,
-		DurableOrder: m.durableOrder,
-		LineOrder:    m.lineOrder,
-		Stalled:      m.stall != nil,
-		Stall:        m.stall,
-		FaultCounts:  m.FaultCounts(),
-	}
-	for _, c := range m.cores {
-		cs.StoresIssued = append(cs.StoresIssued, c.storeSeq)
-	}
-	recoverImage(cs)
-	if m.cfg.CrashFault != FaultNone {
-		cs.Fault = m.cfg.CrashFault
-		cs.FaultApplied = InjectFault(cs, m.cfg.CrashFault)
-	}
-	return cs
+	return m.crashState(m.journal, m.durableOrder, m.lineOrder)
 }
 
 // StartCrashRun schedules the workload for an incremental crash sweep:
@@ -115,6 +95,13 @@ func (m *Machine) CaptureCrashState() *CrashState {
 	for l, vs := range m.lineOrder {
 		lineOrder[l] = vs[:len(vs):len(vs)]
 	}
+	return m.crashState(groups, durable, lineOrder)
+}
+
+// crashState builds the post-crash state at the current cycle over the
+// given views of the group journal, durable order and per-line store order:
+// it recovers the image and arms the configured CrashFault.
+func (m *Machine) crashState(groups, durable []*core.Group, lineOrder map[mem.Line][]mem.Version) *CrashState {
 	cs := &CrashState{
 		System:       m.cfg.System,
 		At:           m.engine.Now(),
@@ -135,6 +122,19 @@ func (m *Machine) CaptureCrashState() *CrashState {
 		cs.FaultApplied = InjectFault(cs, m.cfg.CrashFault)
 	}
 	return cs
+}
+
+// DurableGroups counts the journal's groups that had reached the durable
+// super group at the crash. A state is partially durable when this is
+// neither zero nor len(Groups).
+func (cs *CrashState) DurableGroups() int {
+	n := 0
+	for _, g := range cs.Groups {
+		if g.State() >= core.Durable {
+			n++
+		}
+	}
+	return n
 }
 
 // recoverImage replays the durable groups in durability order. Applying

@@ -71,12 +71,15 @@ func (e Event) String() string {
 	return fmt.Sprintf("@%d %s core=%d ag=%d", e.At, e.Kind, e.Core, e.Group)
 }
 
-// emit publishes a persistency transition on the telemetry bus as an
-// instant on the owning core's track, stamped with the current cycle. The
-// configured Probe (if any) receives it through the probeSink adapter —
-// see telemetry.go. It is a no-op (and free of allocation) when no sink is
-// attached.
+// emit reports a persistency transition, stamped with the current cycle:
+// the configured Probe (if any) receives it directly, and an attached bus
+// gets it as an instant on the owning core's track. With neither it costs
+// two branches and no allocation.
 func (m *Machine) emit(e Event) {
+	e.At = m.engine.Now()
+	if m.cfg.Probe != nil {
+		m.cfg.Probe(e)
+	}
 	if m.tel == nil {
 		return
 	}
@@ -88,5 +91,5 @@ func (m *Machine) emit(e Event) {
 		aux = uint64(e.Reason)
 	}
 	m.tel.bus.Instant(m.tel.coreTrack[e.Core], e.Kind.String(),
-		telemetry.Ticks(m.engine.Now()), e.Group, aux)
+		telemetry.Ticks(e.At), e.Group, aux)
 }

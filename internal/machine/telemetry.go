@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -13,46 +12,34 @@ import (
 //
 // The machine owns the per-core timeline: atomic-group lifecycle spans
 // (open -> frozen -> draining -> durable, closed at retirement), the
-// persistency-transition instants that double as the crash-campaign probe
-// stream, and per-core eviction-buffer occupancy counters. Sub-components
-// (AGB, NVM, NoC, SLC directory) register their own tracks through the same
-// bus in New.
+// persistency-transition instants emit publishes, and per-core
+// eviction-buffer occupancy counters. Sub-components (AGB, NVM, NoC, SLC
+// directory) register their own tracks through the same bus in New.
 //
-// Config.Probe is implemented as a sink *on* this bus: the machine always
-// emits telemetry; a configured probe attaches an adapter sink that
-// translates the persistency-transition instants back into machine.Events.
-// This keeps exactly one instrumentation channel while crashmc's Harvest
-// keeps working unchanged.
+// Config.Probe does not go through the bus: emit calls it directly, so a
+// crash campaign's probe-only configuration leaves telemetry switched off.
 
 // machineTel is the machine's own track state on the bus.
 type machineTel struct {
 	bus       *telemetry.Bus
 	coreTrack []telemetry.Track
 	evbufName []string
-	// coreOfTrack inverts coreTrack for the probe adapter.
-	coreOfTrack map[telemetry.Track]int
 }
 
-// initTelemetry builds the effective bus for this machine. A configured
-// Probe becomes an adapter sink composed with any caller-provided sink.
-// Each machine needs a freshly constructed bus (handles are machine-local);
-// Config.Validate enforces nothing here because a shared bus still works —
-// it just interleaves two machines' tracks.
+// initTelemetry attaches the configured bus. Each machine needs a freshly
+// constructed bus (handles are machine-local); Config.Validate enforces
+// nothing here because a shared bus still works — it just interleaves two
+// machines' tracks.
 func (m *Machine) initTelemetry() {
 	bus := m.cfg.Telemetry
-	if m.cfg.Probe != nil {
-		bus = telemetry.NewBus(telemetry.Multi(bus.Sink(), &probeSink{m: m, fn: m.cfg.Probe}))
-	}
 	if !bus.Enabled() {
-		// No sink anywhere: leave m.tel nil so every emission site reduces
-		// to one branch (the overhead-guard benchmark pins this down).
+		// No sink: leave m.tel nil so every emission site reduces to one
+		// branch (the overhead-guard benchmark pins this down).
 		return
 	}
-	t := &machineTel{bus: bus, coreOfTrack: make(map[telemetry.Track]int)}
+	t := &machineTel{bus: bus}
 	for i := 0; i < m.cfg.Cores; i++ {
-		tr := bus.Track("cores", fmt.Sprintf("core %d", i))
-		t.coreTrack = append(t.coreTrack, tr)
-		t.coreOfTrack[tr] = i
+		t.coreTrack = append(t.coreTrack, bus.Track("cores", fmt.Sprintf("core %d", i)))
 		t.evbufName = append(t.evbufName, fmt.Sprintf("core%d.evictbuf", i))
 	}
 	m.tel = t
@@ -108,51 +95,6 @@ func (m *Machine) evbufSample(cacheID int) {
 	}
 	m.tel.bus.Count(m.tel.coreTrack[cacheID], m.tel.evbufName[cacheID],
 		m.tel.nowTicks(m), int64(m.priv[cacheID].evbuf.Len()))
-}
-
-// probeSink adapts the bus back into the legacy Probe callback: it filters
-// the persistency-transition instants the machine emits on core tracks and
-// synthesizes machine.Events from them. Harvest and the crash campaigns
-// consume exactly the stream they did before the bus existed.
-type probeSink struct {
-	m  *Machine
-	fn func(Event)
-}
-
-// kindOfName inverts EventKind.String for the adapter.
-var kindOfName = func() map[string]EventKind {
-	kinds := []EventKind{EvFreeze, EvDrainStart, EvLineBuffered, EvDurable, EvRetired, EvEvictDrain}
-	out := make(map[string]EventKind, len(kinds))
-	for _, k := range kinds {
-		out[k.String()] = k
-	}
-	return out
-}()
-
-// DefineTrack implements telemetry.Sink.
-func (p *probeSink) DefineTrack(telemetry.Track, telemetry.TrackInfo) {}
-
-// Emit implements telemetry.Sink.
-func (p *probeSink) Emit(e telemetry.Event) {
-	if e.Type != telemetry.Instant {
-		return
-	}
-	kind, ok := kindOfName[e.Name]
-	if !ok {
-		return
-	}
-	coreID, ok := p.m.tel.coreOfTrack[e.Track]
-	if !ok {
-		return
-	}
-	ev := Event{Kind: kind, At: sim.Time(e.At), Core: coreID, Group: e.Scope}
-	switch kind {
-	case EvLineBuffered:
-		ev.Line = mem.Line(e.Aux)
-	case EvFreeze:
-		ev.Reason = core.FreezeReason(e.Aux)
-	}
-	p.fn(ev)
 }
 
 // collectResources snapshots every contended resource in the machine for

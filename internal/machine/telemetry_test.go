@@ -124,25 +124,30 @@ func TestTraceWriteJSONFromMachine(t *testing.T) {
 	}
 }
 
-// The probe must observe the identical event stream whether it is the only
-// sink or composed with a full trace sink — it is an adapter on the bus.
-func TestProbeAdapterEquivalence(t *testing.T) {
-	collect := func(withBus bool) []Event {
+// The probe must observe the identical event stream whether it runs alone
+// or beside a full trace sink, and the bus must carry the same transitions
+// as instants on the owning core's track: one emission feeds both.
+func TestProbeMatchesBusInstants(t *testing.T) {
+	collect := func(sink *telemetry.TraceSink) []Event {
 		cfg := TableI(TSOPER)
 		var events []Event
 		cfg.Probe = func(e Event) { events = append(events, e) }
-		if withBus {
-			cfg.Telemetry = telemetry.NewBus(telemetry.NewTraceSink())
+		if sink != nil {
+			cfg.Telemetry = telemetry.NewBus(sink)
 		}
 		m, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if sink == nil && m.tel != nil {
+			t.Fatal("a probe-only config switched the telemetry bus on")
+		}
 		m.Run(trace.Generate(smallProfile(300), cfg.Cores, 9))
 		return events
 	}
-	probeOnly := collect(false)
-	composed := collect(true)
+	sink := telemetry.NewTraceSink()
+	probeOnly := collect(nil)
+	composed := collect(sink)
 	if len(probeOnly) == 0 {
 		t.Fatal("probe saw no events")
 	}
@@ -155,21 +160,43 @@ func TestProbeAdapterEquivalence(t *testing.T) {
 			t.Fatalf("event %d diverges: %v vs %v", i, probeOnly[i], composed[i])
 		}
 	}
-	// Sanity: the adapter preserves payload fields.
-	var sawLine, sawReason bool
+
+	// Every probe event is an instant on its core's track, in order, with
+	// the same cycle, group and payload.
+	kinds := map[string]bool{}
 	for _, e := range probeOnly {
-		if e.Kind == EvLineBuffered && e.Line != 0 {
-			sawLine = true
+		kinds[e.Kind.String()] = true
+	}
+	tracks := sink.Tracks()
+	var instants []telemetry.Event
+	for _, e := range sink.Events() {
+		if e.Type == telemetry.Instant && tracks[e.Track].Process == "cores" && kinds[e.Name] {
+			instants = append(instants, e)
 		}
-		if e.Kind == EvFreeze && e.Reason != 0 {
-			sawReason = true
+	}
+	if len(instants) != len(probeOnly) {
+		t.Fatalf("bus carried %d transition instants, probe saw %d", len(instants), len(probeOnly))
+	}
+	var sawLine, sawReason bool
+	for i, e := range probeOnly {
+		in := instants[i]
+		aux := uint64(0)
+		switch e.Kind {
+		case EvLineBuffered:
+			aux, sawLine = uint64(e.Line), sawLine || e.Line != 0
+		case EvFreeze:
+			aux, sawReason = uint64(e.Reason), sawReason || e.Reason != 0
+		}
+		if in.Name != e.Kind.String() || tracks[in.Track].Thread != fmt.Sprintf("core %d", e.Core) ||
+			uint64(in.At) != uint64(e.At) || in.Scope != e.Group || in.Aux != aux {
+			t.Fatalf("transition %d: probe %v, bus %+v", i, e, in)
 		}
 		if e.At == 0 && e.Kind != EvFreeze {
 			t.Fatalf("event missing timestamp: %v", e)
 		}
 	}
 	if !sawLine || !sawReason {
-		t.Error("adapter dropped Line/Reason payloads")
+		t.Error("probe events lost their Line/Reason payloads")
 	}
 }
 

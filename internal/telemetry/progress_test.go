@@ -41,19 +41,15 @@ func TestProgressSinkDefaultStride(t *testing.T) {
 	}
 }
 
-// A ProgressSink on a bus composes with other sinks via Multi.
+// A ProgressSink on a bus samples every stride-th event.
 func TestProgressSinkOnBus(t *testing.T) {
 	samples := 0
-	count := &CountingSink{}
-	bus := NewBus(Multi(count, NewProgressSink(2, func(Progress) { samples++ })))
+	bus := NewBus(NewProgressSink(2, func(Progress) { samples++ }))
 	tr := bus.Track("test", "row")
 	for i := 0; i < 6; i++ {
 		bus.Instant(tr, "tick", Ticks(i), 0, 0)
 	}
 	if samples != 3 {
 		t.Fatalf("expected 3 samples, got %d", samples)
-	}
-	if count.Total() != 6 {
-		t.Fatalf("counting sink saw %d events, want 6", count.Total())
 	}
 }

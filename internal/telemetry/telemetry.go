@@ -124,15 +124,6 @@ func NewBus(sink Sink) *Bus {
 // Enabled reports whether emissions reach a sink.
 func (b *Bus) Enabled() bool { return b != nil && b.sink != nil }
 
-// Sink returns the attached sink (nil when disabled). The machine uses it
-// to interpose adapters before track registration begins.
-func (b *Bus) Sink() Sink {
-	if b == nil {
-		return nil
-	}
-	return b.sink
-}
-
 // Track interns a timeline row and returns its handle. On a nil bus it
 // returns the reserved zero handle.
 func (b *Bus) Track(process, thread string) Track {
@@ -204,39 +195,6 @@ func (b *Bus) Count(t Track, name string, at Ticks, value int64) {
 		return
 	}
 	b.sink.Emit(Event{Type: Counter, Track: t, Name: name, At: at, Value: value})
-}
-
-// multiSink fans events out to several sinks.
-type multiSink struct{ sinks []Sink }
-
-func (m *multiSink) DefineTrack(t Track, info TrackInfo) {
-	for _, s := range m.sinks {
-		s.DefineTrack(t, info)
-	}
-}
-
-func (m *multiSink) Emit(e Event) {
-	for _, s := range m.sinks {
-		s.Emit(e)
-	}
-}
-
-// Multi combines sinks into one; nil entries are dropped. It returns nil
-// when nothing remains (so Multi() composes cleanly with NewBus).
-func Multi(sinks ...Sink) Sink {
-	out := make([]Sink, 0, len(sinks))
-	for _, s := range sinks {
-		if s != nil {
-			out = append(out, s)
-		}
-	}
-	switch len(out) {
-	case 0:
-		return nil
-	case 1:
-		return out[0]
-	}
-	return &multiSink{sinks: out}
 }
 
 // CountingSink counts events per type — the cheapest possible live sink,

@@ -66,38 +66,23 @@ func TestEmissionIsAllocationFree(t *testing.T) {
 	}
 }
 
-func TestCountingSinkAndMulti(t *testing.T) {
-	a, b := &CountingSink{}, &CountingSink{}
-	bus := NewBus(Multi(a, nil, b))
+func TestCountingSink(t *testing.T) {
+	s := &CountingSink{}
+	bus := NewBus(s)
 	tr := bus.Track("p", "t")
 	bus.Begin(tr, "s", 1, 1)
 	bus.End(tr, "s", 2, 1)
 	bus.Instant(tr, "i", 3, 0, 0)
 	bus.Count(tr, "c", 4, 9)
 	bus.Span(tr, "x", 5, 6, 0)
-	for _, s := range []*CountingSink{a, b} {
-		if s.Total() != 5 {
-			t.Fatalf("sink saw %d events, want 5", s.Total())
-		}
-		if s.Events[SpanBegin] != 1 || s.Events[SpanEnd] != 1 || s.Events[Instant] != 1 ||
-			s.Events[Counter] != 1 || s.Events[Complete] != 1 {
-			t.Fatalf("per-type counts wrong: %v", s.Events)
-		}
-		if s.Tracks != 2 { // reserved track 0 + registered
-			t.Fatalf("sink saw %d tracks, want 2", s.Tracks)
-		}
+	if s.Total() != 5 {
+		t.Fatalf("sink saw %d events, want 5", s.Total())
 	}
-}
-
-func TestMultiCollapses(t *testing.T) {
-	if Multi() != nil {
-		t.Fatal("Multi() should be nil")
+	if s.Events[SpanBegin] != 1 || s.Events[SpanEnd] != 1 || s.Events[Instant] != 1 ||
+		s.Events[Counter] != 1 || s.Events[Complete] != 1 {
+		t.Fatalf("per-type counts wrong: %v", s.Events)
 	}
-	if Multi(nil, nil) != nil {
-		t.Fatal("Multi(nil, nil) should be nil")
-	}
-	c := &CountingSink{}
-	if Multi(nil, c) != Sink(c) {
-		t.Fatal("Multi with one live sink should return it unwrapped")
+	if s.Tracks != 2 { // reserved track 0 + registered
+		t.Fatalf("sink saw %d tracks, want 2", s.Tracks)
 	}
 }
