@@ -8,13 +8,17 @@
 //	tsoper-experiments -exp fig11,fig13 -bench radix,ocean_cp
 //	tsoper-experiments -exp fig11 -workers 4 -artifacts results
 //
-// Experiments: tableI, protocol, fig11, fig12, fig13, fig14, fig15, lists,
-// agbsweep, evict, agborg, epochs, whisper, slccost, protocols, all.
+// Experiments, in -exp all order (harness.Experiments): tableI, protocol,
+// fig11, fig12, fig13, fig14, fig15, lists, agbsweep, evict, agborg, epochs,
+// whisper, slccost, protocols.
 //
 // -protocol runs the figure/ablation experiments on a non-default coherence
-// backend (slc, mesi, or tardis); the protocols experiment always sweeps all
-// three and, with -protocols-json, writes the bake-off as a benchjson-style
-// document (CI publishes results/protocols.json).
+// backend (slc, mesi, or tardis). The two experiments that compare backends
+// set their own: slccost always runs SLC against MESI, and protocols always
+// sweeps all three. With -protocols-json, protocols also writes the bake-off
+// as a benchjson-style document (CI publishes results/protocols.json);
+// selecting -protocols-json without the protocols experiment is a usage
+// error.
 //
 // -artifacts DIR additionally writes each experiment's text output to
 // DIR/<exp>.txt so figure data lands in versionable files.
@@ -28,6 +32,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -49,8 +54,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	benches := fs.String("bench", "", "comma-separated benchmark subset (default: all 22)")
 	workers := fs.Int("workers", 0, "simulation worker count (0 = GOMAXPROCS; output does not depend on it)")
 	artifacts := fs.String("artifacts", "", "also write each experiment's output to this directory")
-	protocol := fs.String("protocol", "slc", "coherence protocol for the figure/ablation experiments: slc, mesi, or tardis")
-	protocolsJSON := fs.String("protocols-json", "", "with -exp protocols, also write the bake-off as benchjson-style JSON to this path")
+	protocol := fs.String("protocol", "slc", "coherence protocol for the experiments that do not set their own (slccost and protocols do): slc, mesi, or tardis")
+	protocolsJSON := fs.String("protocols-json", "", "with the protocols experiment, also write the bake-off as benchjson-style JSON to this path")
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
@@ -70,37 +75,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 	o := harness.Options{Scale: *scale, Seed: *seed, Workers: *workers, Protocol: proto}
 
-	// writeErr records a failed -protocols-json write; the run still prints
-	// the bake-off, then exits 1.
-	var writeErr error
-	known := map[string]func(harness.Options) string{
-		"tableI":   func(harness.Options) string { return harness.TableIText() },
-		"protocol": func(harness.Options) string { return harness.ProtocolComplexityText() },
-		"fig11":    func(o harness.Options) string { return harness.Figure11(o).String() },
-		"fig12":    func(o harness.Options) string { return harness.Figure12(o).String() },
-		"fig13":    func(o harness.Options) string { return harness.Figure13(o).String() },
-		"fig14":    func(o harness.Options) string { return harness.Figure14(o).String() },
-		"fig15":    func(o harness.Options) string { return harness.Figure15(o).String() },
-		"lists":    func(o harness.Options) string { return harness.Lists(o).String() },
-		"agbsweep": func(o harness.Options) string { return harness.AGBSweep(o).String() },
-		"evict":    func(o harness.Options) string { return harness.EvictSweep(o).String() },
-		"agborg":   func(o harness.Options) string { return harness.AGBOrganizations(o).String() },
-		"epochs":   func(o harness.Options) string { return harness.BSPEpochSweep(o).String() },
-		"whisper":  func(o harness.Options) string { return harness.Whisper(o).String() },
-		"slccost":  func(o harness.Options) string { return harness.SLCOverhead(o).String() },
-		"protocols": func(o harness.Options) string {
-			bake := harness.ProtocolBakeoff(o)
-			if *protocolsJSON != "" {
-				if err := bake.WriteBenchJSONFile(*protocolsJSON); err != nil {
-					writeErr = fmt.Errorf("protocols-json: %w", err)
-				}
-			}
-			return bake.String()
-		},
-	}
-	order := []string{"tableI", "protocol", "fig11", "fig12", "fig13", "fig14", "fig15",
-		"lists", "agbsweep", "evict", "agborg", "epochs", "whisper", "slccost", "protocols"}
-
 	if *benches != "" {
 		for _, b := range strings.Split(*benches, ",") {
 			b = strings.TrimSpace(b)
@@ -111,17 +85,26 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	var todo []string
-	if *exp == "all" {
-		todo = order
-	} else {
-		for _, e := range strings.Split(*exp, ",") {
-			e = strings.TrimSpace(e)
-			if _, ok := known[e]; !ok {
-				return usageErr("unknown experiment %q (known: %s, all)", e, strings.Join(order, ", "))
+	todo := harness.Experiments()
+	if *exp != "all" {
+		byName := map[string]harness.Experiment{}
+		var names []string
+		for _, e := range todo {
+			byName[e.Name] = e
+			names = append(names, e.Name)
+		}
+		todo = nil
+		for _, name := range strings.Split(*exp, ",") {
+			name = strings.TrimSpace(name)
+			e, ok := byName[name]
+			if !ok {
+				return usageErr("unknown experiment %q (known: %s, all)", name, strings.Join(names, ", "))
 			}
 			todo = append(todo, e)
 		}
+	}
+	if *protocolsJSON != "" && !slices.ContainsFunc(todo, func(e harness.Experiment) bool { return e.Name == "protocols" }) {
+		return usageErr("-protocols-json needs the protocols experiment in -exp")
 	}
 
 	if *artifacts != "" {
@@ -133,18 +116,21 @@ func run(argv []string, stdout, stderr io.Writer) int {
 
 	for _, e := range todo {
 		start := time.Now()
-		out := known[e](o)
-		fmt.Fprintf(stdout, "==== %s (%.1fs) ====\n%s\n", e, time.Since(start).Seconds(), out)
+		res := e.Run(o)
+		out := res.String()
+		fmt.Fprintf(stdout, "==== %s (%.1fs) ====\n%s\n", e.Name, time.Since(start).Seconds(), out)
 		if *artifacts != "" {
-			path := filepath.Join(*artifacts, e+".txt")
+			path := filepath.Join(*artifacts, e.Name+".txt")
 			if err := os.WriteFile(path, []byte(out+"\n"), 0o644); err != nil {
 				fmt.Fprintln(stderr, err)
 				return 1
 			}
 		}
-		if writeErr != nil {
-			fmt.Fprintln(stderr, writeErr)
-			return 1
+		if bake, ok := res.(*harness.ProtocolBakeoffResult); ok && *protocolsJSON != "" {
+			if err := bake.WriteBenchJSONFile(*protocolsJSON); err != nil {
+				fmt.Fprintf(stderr, "protocols-json: %v\n", err)
+				return 1
+			}
 		}
 	}
 	return 0

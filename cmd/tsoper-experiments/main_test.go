@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/harness"
 )
 
 // TestExitCodes pins the CLI contract: 0 clean, 1 runtime failure, 2 usage.
@@ -25,6 +29,11 @@ func TestExitCodes(t *testing.T) {
 		{name: "unknown experiment", argv: []string{"-exp", "fig99"}, want: 2, stderr: "unknown experiment"},
 		{name: "unknown benchmark", argv: []string{"-exp", "fig11", "-bench", "doom"}, want: 2, stderr: "unknown benchmark"},
 		{name: "tableI only", argv: []string{"-exp", "tableI"}, want: 0, stdout: "==== tableI"},
+		{
+			name: "protocols-json without protocols",
+			argv: []string{"-exp", "tableI", "-protocols-json", filepath.Join(t.TempDir(), "p.json")},
+			want: 2, stderr: "-protocols-json",
+		},
 		// Retired flags: each paired with -exp tableI, which exits 0 on its own.
 		{name: "retired scheduler flag", argv: []string{"-scheduler", "heap", "-exp", "tableI"}, want: 2, stderr: "not defined: -scheduler"},
 		{name: "retired serial flag", argv: []string{"-serial", "-exp", "tableI"}, want: 2, stderr: "not defined: -serial"},
@@ -76,5 +85,25 @@ func TestArtifacts(t *testing.T) {
 		if len(b) == 0 {
 			t.Errorf("artifact %s is empty", name)
 		}
+	}
+}
+
+// TestExperimentsMatchReference pins harness.Experiments to the -exp all
+// artifact: its names, in order, are the artifact's section headers.
+func TestExperimentsMatchReference(t *testing.T) {
+	ref, err := os.ReadFile("../../results/experiments_scale0.5.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var headers []string
+	for _, m := range regexp.MustCompile(`(?m)^==== (\S+) \([0-9.]+s\) ====$`).FindAllSubmatch(ref, -1) {
+		headers = append(headers, string(m[1]))
+	}
+	var names []string
+	for _, e := range harness.Experiments() {
+		names = append(names, e.Name)
+	}
+	if !slices.Equal(names, headers) {
+		t.Fatalf("harness.Experiments() = %v, results/experiments_scale0.5.txt runs %v", names, headers)
 	}
 }

@@ -346,6 +346,9 @@ func (spec Spec) evaluate(tp *tuple, at uint64, cfg machine.Config, cs *machine.
 				AGLimit:          cfg.AGLimit,
 				EvictBufEntries:  cfg.EvictBufEntries,
 			}
+			if cfg.Coherence != machine.CoherenceSLC {
+				f.Coherence = cfg.Coherence.String()
+			}
 			shrunk := Shrink(f)
 			inj.Shrunk = &shrunk
 		}

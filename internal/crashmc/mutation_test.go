@@ -66,36 +66,53 @@ func TestFaultNoneIsNoop(t *testing.T) {
 }
 
 // A fault campaign through the parallel driver must report every applied
-// fault as a violation with the engineered rule.
+// fault as a violation with the engineered rule, and each shrunk case must
+// name the campaign's coherence backend (empty for SLC) so it reproduces
+// stand-alone.
 func TestFaultCampaignReportsViolations(t *testing.T) {
-	spec := smokeSpec()
-	spec.Name = "mutation-campaign"
-	spec.Benchmarks = Adversaries()[:1]
-	spec.Systems = []machine.SystemKind{machine.TSOPER}
-	spec.Points = 12
-	spec.Fault = machine.FaultTornGroup
-	spec.Shrink = true
-	report, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	applied := 0
-	for _, inj := range report.Violations {
-		if inj.Rule != machine.FaultTornGroup.ExpectedRule() {
-			t.Fatalf("fault fired rule %q, want %q", inj.Rule, machine.FaultTornGroup.ExpectedRule())
-		}
-		if inj.Shrunk == nil {
-			t.Fatal("violation not shrunk")
-		}
-		if inj.Shrunk.At > inj.At || inj.Shrunk.Profile.OpsPerCore > spec.Benchmarks[0].OpsPerCore {
-			t.Fatalf("shrunk case grew: %s", inj.Shrunk)
-		}
-		applied++
-	}
-	if applied == 0 {
-		t.Fatal("torn-group fault never applied — campaign crash points all predate durability")
-	}
-	if report.Clean() {
-		t.Fatal("fault campaign reported clean")
+	for _, coh := range []machine.CoherenceKind{machine.CoherenceSLC, machine.CoherenceTardis} {
+		t.Run(coh.String(), func(t *testing.T) {
+			spec := smokeSpec()
+			spec.Name = "mutation-campaign"
+			spec.Benchmarks = Adversaries()[:1]
+			spec.Systems = []machine.SystemKind{machine.TSOPER}
+			spec.Points = 12
+			spec.Fault = machine.FaultTornGroup
+			spec.Shrink = true
+			spec.Coherence = coh
+			wantCoherence := ""
+			if coh != machine.CoherenceSLC {
+				wantCoherence = coh.String()
+			}
+			report, err := Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			applied := 0
+			for _, inj := range report.Violations {
+				if inj.Rule != machine.FaultTornGroup.ExpectedRule() {
+					t.Fatalf("fault fired rule %q, want %q", inj.Rule, machine.FaultTornGroup.ExpectedRule())
+				}
+				if inj.Shrunk == nil {
+					t.Fatal("violation not shrunk")
+				}
+				if inj.Shrunk.At > inj.At || inj.Shrunk.Profile.OpsPerCore > spec.Benchmarks[0].OpsPerCore {
+					t.Fatalf("shrunk case grew: %s", inj.Shrunk)
+				}
+				if inj.Shrunk.Coherence != wantCoherence {
+					t.Fatalf("shrunk case records coherence %q, want %q", inj.Shrunk.Coherence, wantCoherence)
+				}
+				if !failsSame(*inj.Shrunk) {
+					t.Fatalf("shrunk case does not reproduce: %s", inj.Shrunk)
+				}
+				applied++
+			}
+			if applied == 0 {
+				t.Fatal("torn-group fault never applied — campaign crash points all predate durability")
+			}
+			if report.Clean() {
+				t.Fatal("fault campaign reported clean")
+			}
+		})
 	}
 }

@@ -12,15 +12,18 @@ import (
 
 // Failure pinpoints one failing crash injection precisely enough to
 // reproduce it from scratch: the full workload profile, the system, the
-// core count, the generation seed, the crash cycle, and the armed fault.
+// coherence backend, the core count, the generation seed, the crash cycle,
+// and the armed fault.
 type Failure struct {
 	Profile trace.Profile `json:"profile"`
 	System  string        `json:"system"`
-	Cores   int           `json:"cores"`
-	Seed    int64         `json:"seed"`
-	At      uint64        `json:"at"`
-	Fault   string        `json:"fault,omitempty"`
-	Rule    string        `json:"rule,omitempty"`
+	// Coherence names the coherence backend (empty means SLC).
+	Coherence string `json:"coherence,omitempty"`
+	Cores     int    `json:"cores"`
+	Seed      int64  `json:"seed"`
+	At        uint64 `json:"at"`
+	Fault     string `json:"fault,omitempty"`
+	Rule      string `json:"rule,omitempty"`
 	// Non-Table-I pressure knobs, carried so the artifact reproduces
 	// stand-alone (zero means the Table I value).
 	AGBLinesPerSlice int `json:"agb_lines_per_slice,omitempty"`
@@ -34,13 +37,20 @@ func (f Failure) String() string {
 }
 
 // Reproduce re-runs the failure and returns the checker's violation (nil
-// when the state is consistent, i.e. the failure no longer reproduces).
+// when the state is consistent, i.e. the failure no longer reproduces). A
+// failure that cannot run at all (an unknown name, a configuration the
+// machine rejects) returns an error that is not a *checker.Violation.
 func Reproduce(f Failure) error {
 	kind, ok := parseSystem(f.System)
 	if !ok {
 		return fmt.Errorf("crashmc: unknown system %q", f.System)
 	}
+	coh, err := machine.ParseCoherenceKind(f.Coherence)
+	if err != nil {
+		return fmt.Errorf("crashmc: %w", err)
+	}
 	cfg := machine.TableI(kind)
+	cfg.Coherence = coh
 	if f.Cores > 0 {
 		cfg.Cores = f.Cores
 	}
@@ -105,18 +115,12 @@ func Shrink(f Failure) Failure {
 	return cur
 }
 
-// failsSame reports whether the failure reproduces with the same rule (or
-// with any violation, when the original rule is unknown).
+// failsSame reports whether the failure reproduces as a checker violation
+// with the same rule (or with any rule, when the original rule is unknown).
+// A failure that cannot run does not reproduce.
 func failsSame(f Failure) bool {
-	err := Reproduce(f)
-	if err == nil {
-		return false
-	}
-	if f.Rule == "" {
-		return true
-	}
 	var v *checker.Violation
-	return errors.As(err, &v) && v.Rule == f.Rule
+	return errors.As(Reproduce(f), &v) && (f.Rule == "" || v.Rule == f.Rule)
 }
 
 func parseSystem(name string) (machine.SystemKind, bool) {

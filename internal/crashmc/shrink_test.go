@@ -1,6 +1,7 @@
 package crashmc
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/machine"
@@ -57,6 +58,15 @@ func TestShrinkLeavesConsistentCaseAlone(t *testing.T) {
 	}
 }
 
+// A case that cannot run is not a reproduction: shrinking it must return
+// it unchanged rather than minimize an error that never reached the checker.
+func TestShrinkLeavesUnrunnableCaseAlone(t *testing.T) {
+	f := Failure{Profile: Adversaries()[0], System: "nope", Cores: 8, Seed: 1, At: 4000}
+	if got := Shrink(f); got != f {
+		t.Fatalf("shrinking an unrunnable case changed it: %s", got)
+	}
+}
+
 func TestReproduceUnknownNames(t *testing.T) {
 	if err := Reproduce(Failure{System: "bogus"}); err == nil {
 		t.Fatal("unknown system accepted")
@@ -65,5 +75,10 @@ func TestReproduceUnknownNames(t *testing.T) {
 	f.Fault = "bogus"
 	if err := Reproduce(f); err == nil {
 		t.Fatal("unknown fault accepted")
+	}
+	f = findFailing(t)
+	f.Coherence = "bogus"
+	if err := Reproduce(f); err == nil || !strings.Contains(err.Error(), "bogus") {
+		t.Fatalf("unknown coherence backend: %v", err)
 	}
 }

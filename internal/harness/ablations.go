@@ -9,19 +9,8 @@ import (
 	"repro/internal/trace"
 )
 
-// sweepBenches picks a small, contention-diverse subset for ablations.
-func sweepBenches(o Options) []trace.Profile {
-	if len(o.Benchmarks) > 0 {
-		return o.benchmarks()
-	}
-	var out []trace.Profile
-	for _, name := range []string{"radix", "ocean_cp", "bodytrack", "dedup"} {
-		if p, ok := trace.ByName(name); ok {
-			out = append(out, p)
-		}
-	}
-	return out
-}
+// sweepBenches is a small, contention-diverse subset for ablations.
+var sweepBenches = []string{"radix", "ocean_cp", "bodytrack", "dedup"}
 
 // AGBSweepResult reports the AGB-size ablation (§I: the 10 KB AGB can be
 // cut to one eighth — 1.25 KB per channel — without significant impact).
@@ -42,20 +31,25 @@ type AGBSweepRow struct {
 // AGBSweep runs TSOPER across AGB slice capacities.
 func AGBSweep(o Options) *AGBSweepResult {
 	sizes := []int{160, 80, 40, 20} // 10 KB down to 1.25 KB per channel
-	out := &AGBSweepResult{}
-	for _, b := range sweepBenches(o) {
-		for _, sz := range sizes {
-			cfg := machine.TableI(machine.TSOPER)
-			cfg.AGB.LinesPerSlice = sz
-			if cfg.AGLimit > sz {
-				cfg.AGLimit = sz / 2
-				if cfg.AGLimit == 0 {
-					cfg.AGLimit = 1
-				}
+	var cfgs []machine.Config
+	for _, sz := range sizes {
+		cfg := machine.TableI(machine.TSOPER)
+		cfg.AGB.LinesPerSlice = sz
+		if cfg.AGLimit > sz {
+			cfg.AGLimit = sz / 2
+			if cfg.AGLimit == 0 {
+				cfg.AGLimit = 1
 			}
-			r := RunConfig(b, cfg, o)
+		}
+		cfgs = append(cfgs, cfg)
+	}
+	benches := o.benchmarks(sweepBenches...)
+	res := grid(o, benches, cfgs...)
+	out := &AGBSweepResult{}
+	for i, b := range benches {
+		for j, r := range res[i] {
 			out.Rows = append(out.Rows, AGBSweepRow{
-				Bench: b.Name, LinesPerSlice: sz,
+				Bench: b.Name, LinesPerSlice: sizes[j],
 				Cycles: uint64(r.Cycles), AGBStalls: r.AGBStalls,
 			})
 		}
@@ -93,31 +87,24 @@ type EvictSweepRow struct {
 	Stalls  uint64
 }
 
-// evictBenches picks benchmarks whose working sets exceed the private
-// cache, so the eviction buffer actually sees traffic.
-func evictBenches(o Options) []trace.Profile {
-	if len(o.Benchmarks) > 0 {
-		return o.benchmarks()
-	}
-	var out []trace.Profile
-	for _, name := range []string{"blackscholes", "swaptions", "canneal", "radix"} {
-		if p, ok := trace.ByName(name); ok {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// EvictSweep runs TSOPER across eviction-buffer depths.
+// EvictSweep runs TSOPER across eviction-buffer depths. By default it
+// picks benchmarks whose working sets exceed the private cache, so the
+// eviction buffer actually sees traffic.
 func EvictSweep(o Options) *EvictSweepResult {
+	depths := []int{16, 8, 4, 2}
+	var cfgs []machine.Config
+	for _, n := range depths {
+		cfg := machine.TableI(machine.TSOPER)
+		cfg.EvictBufEntries = n
+		cfgs = append(cfgs, cfg)
+	}
+	benches := o.benchmarks("blackscholes", "swaptions", "canneal", "radix")
+	res := grid(o, benches, cfgs...)
 	out := &EvictSweepResult{}
-	for _, b := range evictBenches(o) {
-		for _, n := range []int{16, 8, 4, 2} {
-			cfg := machine.TableI(machine.TSOPER)
-			cfg.EvictBufEntries = n
-			r := RunConfig(b, cfg, o)
+	for i, b := range benches {
+		for j, r := range res[i] {
 			out.Rows = append(out.Rows, EvictSweepRow{
-				Bench: b.Name, Entries: n, Cycles: uint64(r.Cycles),
+				Bench: b.Name, Entries: depths[j], Cycles: uint64(r.Cycles),
 				Max: r.EvictBufMax, Stalls: r.EvictBufStalls,
 			})
 		}
@@ -149,15 +136,15 @@ type AGBOrgRow struct {
 
 // AGBOrganizations runs the organization comparison.
 func AGBOrganizations(o Options) *AGBOrgResult {
+	central := machine.TableI(machine.TSOPER)
+	central.AGB.Slices = 1
+	central.AGB.LinesPerSlice = 1280 // same total capacity
+	benches := o.benchmarks(sweepBenches...)
+	res := grid(o, benches, central, machine.TableI(machine.TSOPER))
 	out := &AGBOrgResult{}
-	for _, b := range sweepBenches(o) {
-		central := machine.TableI(machine.TSOPER)
-		central.AGB.Slices = 1
-		central.AGB.LinesPerSlice = 1280 // same total capacity
-		rc := RunConfig(b, central, o)
-		rd := RunOne(b, machine.TSOPER, o)
+	for i, b := range benches {
 		out.Rows = append(out.Rows, AGBOrgRow{
-			Bench: b.Name, Centralized: uint64(rc.Cycles), Distributed: uint64(rd.Cycles),
+			Bench: b.Name, Centralized: uint64(res[i][0].Cycles), Distributed: uint64(res[i][1].Cycles),
 		})
 	}
 	return out
@@ -189,15 +176,18 @@ type SLCOverheadRow struct {
 	SLCCycles  uint64
 }
 
-// SLCOverhead runs the coherence-protocol comparison.
+// SLCOverhead runs the coherence-protocol comparison. It names both
+// backends itself, so Options.Protocol does not apply.
 func SLCOverhead(o Options) *SLCOverheadResult {
+	o.Protocol = machine.CoherenceSLC
+	mesi := machine.TableI(machine.Baseline)
+	mesi.Coherence = machine.CoherenceMESI
+	benches := o.benchmarks()
+	res := grid(o, benches, machine.TableI(machine.Baseline), mesi)
 	out := &SLCOverheadResult{}
 	var ratios []float64
-	for _, b := range o.benchmarks() {
-		slcRun := RunOne(b, machine.Baseline, o)
-		cfg := machine.TableI(machine.Baseline)
-		cfg.Coherence = machine.CoherenceMESI
-		mesiRun := RunConfig(b, cfg, o)
+	for i, b := range benches {
+		slcRun, mesiRun := res[i][0], res[i][1]
 		out.Rows = append(out.Rows, SLCOverheadRow{
 			Bench: b.Name, MESICycles: uint64(mesiRun.Cycles), SLCCycles: uint64(slcRun.Cycles),
 		})
@@ -236,16 +226,15 @@ type WhisperRow struct {
 
 // Whisper runs the selective-persistency comparison.
 func Whisper(o Options) *WhisperResult {
-	out := &WhisperResult{}
-	shared := func(l mem.Line) bool {
+	selective := machine.TableI(machine.TSOPER)
+	selective.PersistFilter = func(l mem.Line) bool {
 		return l >= mem.LineOf(trace.SharedBase) && l < mem.LineOf(trace.PrivateBase)
 	}
-	for _, b := range sweepBenches(o) {
-		base := RunOne(b, machine.Baseline, o)
-		full := RunOne(b, machine.TSOPER, o)
-		cfg := machine.TableI(machine.TSOPER)
-		cfg.PersistFilter = shared
-		sel := RunConfig(b, cfg, o)
+	benches := o.benchmarks(sweepBenches...)
+	res := grid(o, benches, machine.TableI(machine.Baseline), machine.TableI(machine.TSOPER), selective)
+	out := &WhisperResult{}
+	for i, b := range benches {
+		base, full, sel := res[i][0], res[i][1], res[i][2]
 		out.Rows = append(out.Rows, WhisperRow{
 			Bench:           b.Name,
 			BaselineCycles:  uint64(base.Cycles),
@@ -283,34 +272,27 @@ type BSPEpochRow struct {
 	VsTSOPER    float64
 }
 
-// epochBenches adds low-conflict benchmarks: BSP breaks epochs on every
-// conflict, so the configured epoch length only binds where conflicts are
-// rare enough for epochs to reach it.
-func epochBenches(o Options) []trace.Profile {
-	if len(o.Benchmarks) > 0 {
-		return o.benchmarks()
-	}
-	var out []trace.Profile
-	for _, name := range []string{"blackscholes", "swaptions", "bodytrack", "ocean_cp"} {
-		if p, ok := trace.ByName(name); ok {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// BSPEpochSweep runs BSP+SLC+AGB across epoch sizes.
+// BSPEpochSweep runs BSP+SLC+AGB across epoch sizes. By default it adds
+// low-conflict benchmarks: BSP breaks epochs on every conflict, so the
+// configured epoch length only binds where conflicts are rare enough for
+// epochs to reach it.
 func BSPEpochSweep(o Options) *BSPEpochResult {
+	epochs := []int{10000, 1000, 80}
+	cfgs := []machine.Config{machine.TableI(machine.TSOPER)}
+	for _, ep := range epochs {
+		cfg := machine.TableI(machine.BSPSLCAGB)
+		cfg.BSPEpochStores = ep
+		cfgs = append(cfgs, cfg)
+	}
+	benches := o.benchmarks("blackscholes", "swaptions", "bodytrack", "ocean_cp")
+	res := grid(o, benches, cfgs...)
 	out := &BSPEpochResult{}
-	for _, b := range epochBenches(o) {
-		ts := RunOne(b, machine.TSOPER, o)
-		for _, ep := range []int{10000, 1000, 80} {
-			cfg := machine.TableI(machine.BSPSLCAGB)
-			cfg.BSPEpochStores = ep
-			r := RunConfig(b, cfg, o)
+	for i, b := range benches {
+		ts := res[i][0]
+		for j, ep := range epochs {
 			out.Rows = append(out.Rows, BSPEpochRow{
 				Bench: b.Name, EpochStores: ep,
-				VsTSOPER: float64(r.Cycles) / float64(ts.Cycles),
+				VsTSOPER: float64(res[i][j+1].Cycles) / float64(ts.Cycles),
 			})
 		}
 	}

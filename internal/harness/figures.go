@@ -27,114 +27,78 @@ type Fig11Row struct {
 
 // Figure11 runs the experiment.
 func Figure11(o Options) *Fig11 {
-	systems := []machine.SystemKind{machine.Baseline, machine.HWRP, machine.BSP, machine.STW, machine.TSOPER}
-	res := RunMatrix(o.benchmarks(), systems, o)
-	fig := &Fig11{
-		Avg:     map[machine.SystemKind]float64{},
-		Max:     map[machine.SystemKind]float64{},
-		Systems: systems[1:],
-	}
-	perSys := map[machine.SystemKind][]float64{}
-	for _, b := range o.benchmarks() {
-		row := Fig11Row{Bench: b.Name, Normalized: map[machine.SystemKind]float64{}}
-		base := float64(res[b.Name][machine.Baseline].Cycles)
-		for _, s := range fig.Systems {
-			n := float64(res[b.Name][s].Cycles) / base
-			row.Normalized[s] = n
-			perSys[s] = append(perSys[s], n)
-		}
-		fig.Rows = append(fig.Rows, row)
-	}
-	for _, s := range fig.Systems {
-		fig.Avg[s] = mean(perSys[s])
-		fig.Max[s] = maxF(perSys[s])
-	}
+	fig := &Fig11{Systems: []machine.SystemKind{machine.HWRP, machine.BSP, machine.STW, machine.TSOPER}}
+	fig.Rows, fig.Avg, fig.Max = normalize(o, machine.Baseline, fig.Systems)
 	return fig
 }
 
 func (f *Fig11) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 11: execution time normalized to SLC baseline\n")
-	fmt.Fprintf(&b, "%-14s", "benchmark")
-	for _, s := range f.Systems {
-		fmt.Fprintf(&b, " %11s", s)
-	}
-	b.WriteByte('\n')
-	for _, r := range f.Rows {
-		fmt.Fprintf(&b, "%-14s", r.Bench)
-		for _, s := range f.Systems {
-			fmt.Fprintf(&b, " %11.3f", r.Normalized[s])
-		}
-		b.WriteByte('\n')
-	}
-	fmt.Fprintf(&b, "%-14s", "average")
-	for _, s := range f.Systems {
-		fmt.Fprintf(&b, " %11.3f", f.Avg[s])
-	}
-	b.WriteByte('\n')
-	fmt.Fprintf(&b, "%-14s", "max")
-	for _, s := range f.Systems {
-		fmt.Fprintf(&b, " %11.3f", f.Max[s])
-	}
-	b.WriteByte('\n')
-	return b.String()
+	return normTable("Figure 11: execution time normalized to SLC baseline", f.Systems, f.Rows,
+		Fig11Row{"average", f.Avg}, Fig11Row{"max", f.Max})
 }
 
 // Fig12 reproduces Figure 12: BSP, BSP+SLC, BSP+SLC+AGB relative to TSOPER.
 type Fig12 struct {
 	Rows    []Fig11Row // same shape: normalized-to-TSOPER values
 	Avg     map[machine.SystemKind]float64
-	Max     map[machine.SystemKind]float64
 	Systems []machine.SystemKind
 }
 
 // Figure12 runs the stepping-stone comparison.
 func Figure12(o Options) *Fig12 {
-	systems := []machine.SystemKind{machine.BSP, machine.BSPSLC, machine.BSPSLCAGB, machine.TSOPER}
-	res := RunMatrix(o.benchmarks(), systems, o)
-	fig := &Fig12{
-		Avg:     map[machine.SystemKind]float64{},
-		Max:     map[machine.SystemKind]float64{},
-		Systems: systems[:3],
-	}
-	perSys := map[machine.SystemKind][]float64{}
-	for _, b := range o.benchmarks() {
-		row := Fig11Row{Bench: b.Name, Normalized: map[machine.SystemKind]float64{}}
-		base := float64(res[b.Name][machine.TSOPER].Cycles)
-		for _, s := range fig.Systems {
-			n := float64(res[b.Name][s].Cycles) / base
-			row.Normalized[s] = n
-			perSys[s] = append(perSys[s], n)
-		}
-		fig.Rows = append(fig.Rows, row)
-	}
-	for _, s := range fig.Systems {
-		fig.Avg[s] = mean(perSys[s])
-		fig.Max[s] = maxF(perSys[s])
-	}
+	fig := &Fig12{Systems: []machine.SystemKind{machine.BSP, machine.BSPSLC, machine.BSPSLCAGB}}
+	fig.Rows, fig.Avg, _ = normalize(o, machine.TSOPER, fig.Systems)
 	return fig
 }
 
 func (f *Fig12) String() string {
+	return normTable("Figure 12: execution time normalized to TSOPER", f.Systems, f.Rows,
+		Fig11Row{"average", f.Avg})
+}
+
+// normalize simulates every benchmark under base and each of systems, and
+// returns each system's cycles relative to base's per benchmark, with the
+// mean and the max of those ratios per system.
+func normalize(o Options, base machine.SystemKind, systems []machine.SystemKind) (rows []Fig11Row, avg, peak map[machine.SystemKind]float64) {
+	benches := o.benchmarks()
+	res := grid(o, benches, tableI(append([]machine.SystemKind{base}, systems...)...)...)
+	perSys := map[machine.SystemKind][]float64{}
+	for i, b := range benches {
+		row := Fig11Row{Bench: b.Name, Normalized: map[machine.SystemKind]float64{}}
+		for j, s := range systems {
+			n := float64(res[i][j+1].Cycles) / float64(res[i][0].Cycles)
+			row.Normalized[s] = n
+			perSys[s] = append(perSys[s], n)
+		}
+		rows = append(rows, row)
+	}
+	avg, peak = map[machine.SystemKind]float64{}, map[machine.SystemKind]float64{}
+	for _, s := range systems {
+		avg[s] = mean(perSys[s])
+		peak[s] = maxF(perSys[s])
+	}
+	return rows, avg, peak
+}
+
+// normTable renders normalized execution times under title: one column per
+// system, one line per benchmark row, then the summary rows.
+func normTable(title string, systems []machine.SystemKind, rows []Fig11Row, summary ...Fig11Row) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 12: execution time normalized to TSOPER\n")
+	fmt.Fprintf(&b, "%s\n", title)
 	fmt.Fprintf(&b, "%-14s", "benchmark")
-	for _, s := range f.Systems {
+	for _, s := range systems {
 		fmt.Fprintf(&b, " %11s", s)
 	}
 	b.WriteByte('\n')
-	for _, r := range f.Rows {
-		fmt.Fprintf(&b, "%-14s", r.Bench)
-		for _, s := range f.Systems {
-			fmt.Fprintf(&b, " %11.3f", r.Normalized[s])
+	for _, part := range [][]Fig11Row{rows, summary} {
+		for _, r := range part {
+			fmt.Fprintf(&b, "%-14s", r.Bench)
+			for _, s := range systems {
+				fmt.Fprintf(&b, " %11.3f", r.Normalized[s])
+			}
+			b.WriteByte('\n')
 		}
-		b.WriteByte('\n')
 	}
-	fmt.Fprintf(&b, "%-14s", "average")
-	for _, s := range f.Systems {
-		fmt.Fprintf(&b, " %11.3f", f.Avg[s])
-	}
-	b.WriteByte('\n')
 	return b.String()
 }
 
@@ -152,15 +116,15 @@ type Fig13 struct {
 
 // Figure13 runs the AG-size study.
 func Figure13(o Options) *Fig13 {
-	res := RunMatrix(o.benchmarks(), []machine.SystemKind{machine.TSOPER}, o)
+	benches := o.benchmarks()
+	res := grid(o, benches, machine.TableI(machine.TSOPER))
 	bounds := []uint64{1, 2, 5, 10, 20, 40, 80, 160}
 	pooled := stats.NewDist("pooled")
 	fig := &Fig13{Bounds: bounds, Per: map[string][]stats.CumBin{}}
-	for _, b := range o.benchmarks() {
-		d := res[b.Name][machine.TSOPER].AGSizes
-		fig.Per[b.Name] = d.CumHist(bounds)
+	for i, b := range benches {
+		fig.Per[b.Name] = res[i][0].AGSizes.CumHist(bounds)
 		// Pool the exact per-group sizes across benchmarks.
-		for _, g := range res[b.Name][machine.TSOPER].Groups {
+		for _, g := range res[i][0].Groups {
 			if g.Size() > 0 {
 				pooled.Observe(uint64(g.Size()))
 			}
@@ -200,10 +164,11 @@ type Fig14Row struct {
 // Figure14 runs the traffic study.
 func Figure14(o Options) *Fig14 {
 	systems := []machine.SystemKind{machine.Baseline, machine.HWRP, machine.BSP, machine.STW, machine.TSOPER}
-	res := RunMatrix(o.benchmarks(), systems, o)
+	benches := o.benchmarks()
+	res := grid(o, benches, tableI(systems...)...)
 	fig := &Fig14{Systems: systems[1:]}
-	for _, b := range o.benchmarks() {
-		base := float64(res[b.Name][machine.Baseline].CoherenceWrites)
+	for i, b := range benches {
+		base := float64(res[i][0].CoherenceWrites)
 		if base == 0 {
 			base = 1
 		}
@@ -212,9 +177,9 @@ func Figure14(o Options) *Fig14 {
 			Coherence: map[machine.SystemKind]float64{},
 			Persist:   map[machine.SystemKind]float64{},
 		}
-		for _, s := range fig.Systems {
-			row.Coherence[s] = float64(res[b.Name][s].CoherenceWrites) / base
-			row.Persist[s] = float64(res[b.Name][s].PersistWrites) / base
+		for j, s := range fig.Systems {
+			row.Coherence[s] = float64(res[i][j+1].CoherenceWrites) / base
+			row.Persist[s] = float64(res[i][j+1].PersistWrites) / base
 		}
 		fig.Rows = append(fig.Rows, row)
 	}
@@ -259,8 +224,8 @@ func Figure15(o Options) *Fig15 {
 	if !ok {
 		panic("harness: ocean_cp profile missing")
 	}
-	hw := RunOne(p, machine.HWRP, o)
-	ts := RunOne(p, machine.TSOPER, o)
+	res := grid(o, []trace.Profile{p}, tableI(machine.HWRP, machine.TSOPER)...)
+	hw, ts := res[0][0], res[0][1]
 	bounds := []uint64{1, 2, 5, 10, 25, 100, 500, 2500}
 	return &Fig15{
 		SFRTimeline:    hw.SizeTimeline.Downsample(64),
@@ -308,11 +273,12 @@ type ListLengthRow struct {
 
 // Lists runs the sharing-list length study.
 func Lists(o Options) *ListLengths {
-	res := RunMatrix(o.benchmarks(), []machine.SystemKind{machine.TSOPER}, o)
+	benches := o.benchmarks()
+	res := grid(o, benches, machine.TableI(machine.TSOPER))
 	out := &ListLengths{}
 	var cs, ps []float64
-	for _, b := range o.benchmarks() {
-		r := res[b.Name][machine.TSOPER]
+	for i, b := range benches {
+		r := res[i][0]
 		out.Rows = append(out.Rows, ListLengthRow{
 			Bench: b.Name, Coherence: r.CoherenceListLen, Persist: r.PersistListLen,
 		})

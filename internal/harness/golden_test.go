@@ -61,7 +61,10 @@ func goldenRows(t *testing.T) []goldenRow {
 			t.Fatalf("benchmark %q missing from roster", benchName)
 		}
 		for _, sys := range goldenSystems() {
-			r := RunConfig(bench, sys.cfg, o)
+			r, err := RunConfigChecked(bench, sys.cfg, o)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", benchName, sys.name, err)
+			}
 			rows = append(rows, goldenRow{
 				Benchmark:       benchName,
 				System:          sys.name,

@@ -30,7 +30,9 @@ type Options struct {
 	// Results do not depend on it.
 	Workers int
 	// Protocol selects the coherence backend (default SLC). Applied after
-	// any explicit Config, so it also overrides its Coherence field.
+	// any explicit Config, so it also overrides its Coherence field. The
+	// experiments that compare backends, SLCOverhead and ProtocolBakeoff,
+	// set their own and ignore it.
 	Protocol machine.CoherenceKind
 	// Timeout, when positive, arms the machine stall watchdog with this
 	// progress horizon (in simulation cycles) on every run, so a wedged
@@ -39,18 +41,53 @@ type Options struct {
 	Timeout sim.Time
 }
 
-// DefaultOptions returns full-scale, deterministic options.
-func DefaultOptions() Options {
-	return Options{Scale: 1.0, Seed: 42}
+// Experiment is one entry of the paper's evaluation: its name and the run
+// that renders its table or figure.
+type Experiment struct {
+	Name string
+	Run  func(Options) fmt.Stringer
 }
 
-func (o Options) benchmarks() []trace.Profile {
-	all := trace.Benchmarks()
-	if len(o.Benchmarks) == 0 {
-		return all
+// Experiments returns the evaluation in `tsoper-experiments -exp all`
+// order.
+func Experiments() []Experiment {
+	return []Experiment{
+		{"tableI", func(Options) fmt.Stringer { return text(TableIText()) }},
+		{"protocol", func(Options) fmt.Stringer { return text(ProtocolComplexityText()) }},
+		{"fig11", func(o Options) fmt.Stringer { return Figure11(o) }},
+		{"fig12", func(o Options) fmt.Stringer { return Figure12(o) }},
+		{"fig13", func(o Options) fmt.Stringer { return Figure13(o) }},
+		{"fig14", func(o Options) fmt.Stringer { return Figure14(o) }},
+		{"fig15", func(o Options) fmt.Stringer { return Figure15(o) }},
+		{"lists", func(o Options) fmt.Stringer { return Lists(o) }},
+		{"agbsweep", func(o Options) fmt.Stringer { return AGBSweep(o) }},
+		{"evict", func(o Options) fmt.Stringer { return EvictSweep(o) }},
+		{"agborg", func(o Options) fmt.Stringer { return AGBOrganizations(o) }},
+		{"epochs", func(o Options) fmt.Stringer { return BSPEpochSweep(o) }},
+		{"whisper", func(o Options) fmt.Stringer { return Whisper(o) }},
+		{"slccost", func(o Options) fmt.Stringer { return SLCOverhead(o) }},
+		{"protocols", func(o Options) fmt.Stringer { return ProtocolBakeoff(o) }},
+	}
+}
+
+// text is a rendered table that needs no simulation.
+type text string
+
+func (t text) String() string { return string(t) }
+
+// benchmarks resolves Options.Benchmarks against the roster. With none set
+// it returns the named defaults, or the full 22-benchmark roster when no
+// defaults are named.
+func (o Options) benchmarks(defaults ...string) []trace.Profile {
+	names := o.Benchmarks
+	if len(names) == 0 {
+		if len(defaults) == 0 {
+			return trace.Benchmarks()
+		}
+		names = defaults
 	}
 	var out []trace.Profile
-	for _, name := range o.Benchmarks {
+	for _, name := range names {
 		if p, ok := trace.ByName(name); ok {
 			out = append(out, p)
 		}
@@ -65,33 +102,11 @@ func (o Options) scale() float64 {
 	return o.Scale
 }
 
-// RunOne simulates one benchmark under one system with the Table I
-// configuration.
-func RunOne(bench trace.Profile, kind machine.SystemKind, o Options) *machine.Results {
-	return RunConfig(bench, machine.TableI(kind), o)
-}
-
-// RunConfig simulates one benchmark under an explicit configuration. It
-// panics on configuration errors and wedged runs — the job-shaped
-// RunConfigChecked returns those as errors instead.
-func RunConfig(bench trace.Profile, cfg machine.Config, o Options) *machine.Results {
-	r, err := RunConfigChecked(bench, cfg, o)
-	if err != nil {
-		panic(fmt.Sprintf("harness: %v", err))
-	}
-	return r
-}
-
-// RunOneChecked is the job-shaped RunOne: configuration errors and wedged
-// runs (watchdog stalls, deadlocks) come back as errors, so a long-lived
-// worker can fail one job without dying.
-func RunOneChecked(bench trace.Profile, kind machine.SystemKind, o Options) (*machine.Results, error) {
-	return RunConfigChecked(bench, machine.TableI(kind), o)
-}
-
-// RunConfigChecked is the job-shaped RunConfig. With Options.Timeout set it
-// arms the stall watchdog, bounding how long a wedged simulation can hold a
-// worker.
+// RunConfigChecked simulates one benchmark under an explicit configuration,
+// returning configuration errors and wedged runs (watchdog stalls,
+// deadlocks) as errors, so a long-lived worker can fail one job without
+// dying. With Options.Timeout set it arms the stall watchdog, bounding how
+// long a wedged simulation can hold a worker.
 func RunConfigChecked(bench trace.Profile, cfg machine.Config, o Options) (*machine.Results, error) {
 	cfg = o.override(cfg)
 	w := trace.Generate(bench.Scale(o.scale()), cfg.Cores, o.Seed)
@@ -121,55 +136,54 @@ func RunWorkload(cfg machine.Config, w *trace.Workload) (*machine.Results, error
 	return m.RunChecked(w)
 }
 
-// Cell identifies one simulation in a sweep.
-type Cell struct {
-	Bench  trace.Profile
-	System machine.SystemKind
-}
-
-// RunMatrix simulates every benchmark × system pair on Options.Workers
-// workers (each machine is fully independent and deterministic).
-func RunMatrix(benches []trace.Profile, systems []machine.SystemKind, o Options) map[string]map[machine.SystemKind]*machine.Results {
-	type job struct {
-		cell Cell
-		res  *machine.Results
+// grid simulates every benchmark under every configuration on
+// Options.Workers goroutines and returns res[i][j], benches[i] under
+// cfgs[j]. Each machine is independent and deterministic, so the results
+// do not depend on the worker count. A cell that fails panics on the
+// caller's goroutine once every cell has finished, naming its benchmark and
+// system.
+func grid(o Options, benches []trace.Profile, cfgs ...machine.Config) [][]*machine.Results {
+	res := make([][]*machine.Results, len(benches))
+	for i := range res {
+		res[i] = make([]*machine.Results, len(cfgs))
 	}
-	jobs := make([]job, 0, len(benches)*len(systems))
-	for _, b := range benches {
-		for _, s := range systems {
-			jobs = append(jobs, job{cell: Cell{Bench: b, System: s}})
-		}
-	}
+	errs := make([]error, len(benches)*len(cfgs))
 	workers := o.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	var wg sync.WaitGroup
-	ch := make(chan int)
+	cells := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range ch {
-				jobs[i].res = RunOne(jobs[i].cell.Bench, jobs[i].cell.System, o)
+			for c := range cells {
+				i, j := c/len(cfgs), c%len(cfgs)
+				res[i][j], errs[c] = RunConfigChecked(benches[i], cfgs[j], o)
 			}
 		}()
 	}
-	for i := range jobs {
-		ch <- i
+	for c := range errs {
+		cells <- c
 	}
-	close(ch)
+	close(cells)
 	wg.Wait()
-
-	out := make(map[string]map[machine.SystemKind]*machine.Results)
-	for _, j := range jobs {
-		name := j.cell.Bench.Name
-		if out[name] == nil {
-			out[name] = make(map[machine.SystemKind]*machine.Results)
+	for c, err := range errs {
+		if err != nil {
+			panic(fmt.Sprintf("harness: %s on %v: %v", benches[c/len(cfgs)].Name, cfgs[c%len(cfgs)].System, err))
 		}
-		out[name][j.cell.System] = j.res
 	}
-	return out
+	return res
+}
+
+// tableI returns the Table I configuration of each system.
+func tableI(systems ...machine.SystemKind) []machine.Config {
+	cfgs := make([]machine.Config, len(systems))
+	for i, s := range systems {
+		cfgs[i] = machine.TableI(s)
+	}
+	return cfgs
 }
 
 // geomean-free mean matching the paper's "on average" phrasing.

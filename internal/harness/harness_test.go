@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -13,33 +14,59 @@ func tiny() Options {
 	return Options{Scale: 0.08, Seed: 3, Benchmarks: []string{"radix", "dedup"}}
 }
 
-func TestRunMatrixShape(t *testing.T) {
+// grid returns res[i][j] = benches[i] under cfgs[j], the result a direct
+// run of that cell gives.
+func TestGridShape(t *testing.T) {
 	o := tiny()
-	res := RunMatrix(o.benchmarks(), []machine.SystemKind{machine.Baseline, machine.TSOPER}, o)
+	o.Workers = 3
+	benches := o.benchmarks()
+	cfgs := tableI(machine.Baseline, machine.TSOPER)
+	res := grid(o, benches, cfgs...)
 	if len(res) != 2 {
 		t.Fatalf("benchmarks: %d", len(res))
 	}
-	for name, m := range res {
-		if len(m) != 2 {
-			t.Fatalf("%s: systems %d", name, len(m))
+	for i, row := range res {
+		if len(row) != 2 {
+			t.Fatalf("%s: systems %d", benches[i].Name, len(row))
 		}
-		for kind, r := range m {
-			if r == nil || r.Cycles == 0 {
-				t.Fatalf("%s/%v: empty result", name, kind)
+		for j, r := range row {
+			want, err := RunConfigChecked(benches[i], cfgs[j], o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r == nil || r.Cycles != want.Cycles || r.Benchmark != want.Benchmark {
+				t.Fatalf("%s/%v: grid cell does not match a direct run", benches[i].Name, cfgs[j].System)
 			}
 		}
 	}
 }
 
-func TestParallelMatchesSerial(t *testing.T) {
+// A failing cell panics on grid's caller, where it can be recovered, and
+// the message names the cell.
+func TestGridPanicNamesCell(t *testing.T) {
 	o := tiny()
-	o.Workers = 0 // GOMAXPROCS
-	rp := RunMatrix(o.benchmarks(), []machine.SystemKind{machine.TSOPER}, o)
-	o.Workers = 1
-	rs := RunMatrix(o.benchmarks(), []machine.SystemKind{machine.TSOPER}, o)
-	for name := range rp {
-		if rp[name][machine.TSOPER].Cycles != rs[name][machine.TSOPER].Cycles {
-			t.Fatalf("%s: parallel and serial runs diverge", name)
+	cfg := machine.TableI(machine.TSOPER)
+	cfg.Cores = 0
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		grid(o, o.benchmarks(), cfg)
+		return nil
+	}()
+	msg, _ := got.(string)
+	if !strings.Contains(msg, "radix") || !strings.Contains(msg, machine.TSOPER.String()) {
+		t.Fatalf("grid panic %v does not name the cell", got)
+	}
+}
+
+// Every experiment prints the same bytes whatever the worker count.
+func TestExperimentsIndependentOfWorkers(t *testing.T) {
+	for _, e := range Experiments() {
+		o := tiny()
+		o.Workers = 1
+		serial := e.Run(o).String()
+		o.Workers = 3
+		if parallel := e.Run(o).String(); parallel != serial {
+			t.Errorf("%s: 3 workers print\n%s\n1 worker prints\n%s", e.Name, parallel, serial)
 		}
 	}
 }
@@ -207,6 +234,16 @@ func TestSLCOverhead(t *testing.T) {
 	}
 }
 
+// SLCOverhead compares two backends it names itself; -protocol must not
+// collapse both columns onto one backend.
+func TestSLCOverheadIgnoresProtocol(t *testing.T) {
+	o := tiny()
+	o.Protocol = machine.CoherenceTardis
+	if got, want := SLCOverhead(o).Rows, SLCOverhead(tiny()).Rows; !reflect.DeepEqual(got, want) {
+		t.Fatalf("with Protocol tardis: %+v, want %+v", got, want)
+	}
+}
+
 func TestCoherenceBackendMatrix(t *testing.T) {
 	// Every system accepts every coherence backend: retention of dirty and
 	// invalid-pending copies is governed by the system (destructive()),
@@ -265,16 +302,24 @@ func TestProtocolComplexityText(t *testing.T) {
 	}
 }
 
-func TestDefaultOptions(t *testing.T) {
-	o := DefaultOptions()
-	if o.Scale != 1.0 {
-		t.Fatalf("defaults: %+v", o)
+// The zero Options run the full roster at full scale; named defaults apply
+// only when no benchmarks are set.
+func TestZeroOptions(t *testing.T) {
+	var o Options
+	if o.scale() != 1.0 {
+		t.Fatalf("zero scale: %v", o.scale())
+	}
+	if (Options{Scale: -1}).scale() != 1.0 {
+		t.Fatal("negative scale should clamp")
 	}
 	if len(o.benchmarks()) != 22 {
 		t.Fatalf("default roster: %d", len(o.benchmarks()))
 	}
-	bad := Options{Scale: -1}
-	if bad.scale() != 1.0 {
-		t.Fatal("negative scale should clamp")
+	if got := o.benchmarks("radix", "dedup"); len(got) != 2 || got[0].Name != "radix" {
+		t.Fatalf("named defaults: %v", got)
+	}
+	o.Benchmarks = []string{"canneal"}
+	if got := o.benchmarks("radix"); len(got) != 1 || got[0].Name != "canneal" {
+		t.Fatalf("Benchmarks must override the defaults: %v", got)
 	}
 }

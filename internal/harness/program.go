@@ -13,18 +13,12 @@ func envFor(cfg machine.Config) program.Env {
 	return program.Env{Cores: cfg.Cores, Ranks: cfg.NVM.Ranks}
 }
 
-// RunProgramChecked simulates a workload program under one system with the
-// Table I configuration. Options.Scale is ignored — a program's size is
-// spelled out by its instructions (the profile instruction carries its own
-// scale).
-func RunProgramChecked(p *program.Program, kind machine.SystemKind, o Options) (*machine.Results, error) {
-	return RunProgramConfigChecked(p, machine.TableI(kind), o)
-}
-
 // RunProgramConfigChecked compiles the program for the configuration's
-// shape and runs it, returning validation, compile, configuration, and
-// wedged-run failures as errors. Determinism matches the profile path: the
-// result is a pure function of (program, config, seed).
+// shape and runs it. Options.Scale is ignored: a program's size is spelled
+// out by its instructions (the profile instruction carries its own scale).
+// Validation, compile, configuration, and wedged-run failures come back as
+// errors. Determinism matches the profile path: the result is a pure
+// function of (program, config, seed).
 func RunProgramConfigChecked(p *program.Program, cfg machine.Config, o Options) (*machine.Results, error) {
 	cfg = o.override(cfg)
 	w, err := p.Compile(envFor(cfg), o.Seed)

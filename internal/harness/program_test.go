@@ -61,13 +61,13 @@ func TestProgramSnapshotIdentity(t *testing.T) {
 			if !ok {
 				t.Fatalf("no profile %q", name)
 			}
-			want, err := RunOneChecked(prof, system, o)
+			want, err := RunConfigChecked(prof, machine.TableI(system), o)
 			if err != nil {
 				t.Fatalf("profile run: %v", err)
 			}
 
 			p := scaledIdentityProgram(t, name, scale)
-			got, err := RunProgramChecked(p, system, o)
+			got, err := RunProgramConfigChecked(p, machine.TableI(system), o)
 			if err != nil {
 				t.Fatalf("program run: %v", err)
 			}
@@ -87,9 +87,10 @@ func TestRunProgramChecked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := RunProgramChecked(p, machine.TSOPER, Options{Seed: 1})
+	cfg := machine.TableI(machine.TSOPER)
+	r, err := RunProgramConfigChecked(p, cfg, Options{Seed: 1})
 	if err != nil {
-		t.Fatalf("RunProgramChecked: %v", err)
+		t.Fatalf("RunProgramConfigChecked: %v", err)
 	}
 	if r.Cycles == 0 {
 		t.Fatalf("program run reported zero cycles")
@@ -99,7 +100,7 @@ func TestRunProgramChecked(t *testing.T) {
 	}
 
 	// Determinism across runs.
-	r2, err := RunProgramChecked(p, machine.TSOPER, Options{Seed: 1})
+	r2, err := RunProgramConfigChecked(p, cfg, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestRunProgramChecked(t *testing.T) {
 	bad := &program.Program{Version: 1, Name: "bad", Cores: []program.CoreProg{
 		{Instrs: []program.Instr{{Op: "warp"}}},
 	}}
-	if _, err := RunProgramChecked(bad, machine.TSOPER, Options{}); err == nil {
+	if _, err := RunProgramConfigChecked(bad, cfg, Options{}); err == nil {
 		t.Fatalf("invalid program ran")
 	}
 }
@@ -168,7 +169,7 @@ func BenchmarkProgramRun(b *testing.B) {
 	b.SetBytes(int64(est.Ops))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunProgramChecked(p, machine.TSOPER, Options{Seed: 42}); err != nil {
+		if _, err := RunProgramConfigChecked(p, machine.TableI(machine.TSOPER), Options{Seed: 42}); err != nil {
 			b.Fatal(err)
 		}
 	}

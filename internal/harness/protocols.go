@@ -40,35 +40,38 @@ type ProtocolBakeoffResult struct {
 // ProtocolBakeoff runs every benchmark under TSOPER on each coherence
 // backend. Durable semantics are identical across backends (the litmus and
 // crashmc gates pin that); what the bake-off measures is the timing cost of
-// each protocol's ordering machinery.
+// each protocol's ordering machinery. It sets every backend itself, so
+// Options.Protocol does not apply.
 func ProtocolBakeoff(o Options) *ProtocolBakeoffResult {
+	o.Protocol = machine.CoherenceSLC
+	protos := machine.Coherences()
+	var cfgs []machine.Config
+	slc := 0
+	for j, proto := range protos {
+		cfg := machine.TableI(machine.TSOPER)
+		cfg.Coherence = proto
+		cfgs = append(cfgs, cfg)
+		if proto == machine.CoherenceSLC {
+			slc = j
+		}
+	}
+	benches := o.benchmarks()
+	res := grid(o, benches, cfgs...)
 	out := &ProtocolBakeoffResult{System: machine.TSOPER.String(), AvgVsSLC: map[string]float64{}}
 	ratios := map[string][]float64{}
-	for _, b := range o.benchmarks() {
-		slcDrain := uint64(0)
-		for _, proto := range machine.Coherences() {
-			po := o
-			po.Protocol = proto
-			r := RunOne(b, machine.TSOPER, po)
+	for i, b := range benches {
+		for j, r := range res[i] {
 			row := ProtocolRow{
 				Bench:           b.Name,
-				Protocol:        proto.String(),
+				Protocol:        protos[j].String(),
 				Cycles:          uint64(r.Cycles),
 				DrainCycles:     uint64(r.DrainCycles),
 				CoherenceWrites: r.CoherenceWrites,
 				PersistWrites:   r.TotalPersistWrites,
 				Renewals:        r.Set.CounterValue("tardis.renewals"),
-			}
-			if proto == machine.CoherenceSLC {
-				slcDrain = row.DrainCycles
+				VsSLC:           float64(r.DrainCycles) / float64(res[i][slc].DrainCycles),
 			}
 			out.Rows = append(out.Rows, row)
-		}
-		// Coherences() orders SLC before tardis but after MESI; fill the
-		// ratios in a second pass so every row normalizes to the SLC cell.
-		for i := len(out.Rows) - len(machine.Coherences()); i < len(out.Rows); i++ {
-			row := &out.Rows[i]
-			row.VsSLC = float64(row.DrainCycles) / float64(slcDrain)
 			ratios[row.Protocol] = append(ratios[row.Protocol], row.VsSLC)
 		}
 	}

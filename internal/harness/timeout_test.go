@@ -23,12 +23,12 @@ func bench(t *testing.T, name string) trace.Profile {
 func TestTimeoutPreservesResults(t *testing.T) {
 	p := bench(t, "radix")
 	o := Options{Scale: 0.05, Seed: 7}
-	plain, err := RunOneChecked(p, machine.TSOPER, o)
+	plain, err := RunConfigChecked(p, machine.TableI(machine.TSOPER), o)
 	if err != nil {
 		t.Fatalf("plain run: %v", err)
 	}
 	o.Timeout = 50_000
-	armed, err := RunOneChecked(p, machine.TSOPER, o)
+	armed, err := RunConfigChecked(p, machine.TableI(machine.TSOPER), o)
 	if err != nil {
 		t.Fatalf("armed run: %v", err)
 	}
@@ -44,7 +44,8 @@ func TestTimeoutPreservesResults(t *testing.T) {
 	}
 }
 
-// Timeout must override a config-level horizon and flow through RunConfig.
+// Timeout must override a config-level horizon and flow through
+// RunConfigChecked.
 func TestTimeoutOverridesConfigHorizon(t *testing.T) {
 	p := bench(t, "radix")
 	cfg := machine.TableI(machine.TSOPER)
@@ -67,13 +68,12 @@ func TestRunConfigCheckedBadConfig(t *testing.T) {
 	}
 }
 
-// RunMatrix with a timeout set must still produce every cell (the watchdog
+// grid with a timeout set must still produce every cell (the watchdog
 // stays silent on healthy runs at any worker width).
-func TestRunMatrixWithTimeout(t *testing.T) {
+func TestGridWithTimeout(t *testing.T) {
 	o := Options{Scale: 0.05, Seed: 7, Workers: 2, Timeout: sim.Time(100_000)}
-	out := RunMatrix([]trace.Profile{bench(t, "radix")},
-		[]machine.SystemKind{machine.Baseline, machine.TSOPER}, o)
-	if len(out["radix"]) != 2 {
-		t.Fatalf("expected 2 cells, got %d", len(out["radix"]))
+	out := grid(o, []trace.Profile{bench(t, "radix")}, tableI(machine.Baseline, machine.TSOPER)...)
+	if len(out) != 1 || len(out[0]) != 2 || out[0][0] == nil || out[0][1] == nil {
+		t.Fatalf("expected 1x2 cells, got %v", out)
 	}
 }

@@ -81,7 +81,7 @@ func TestProgramJobRunsAndMatchesDirect(t *testing.T) {
 		t.Fatal("first submission must not be a cache hit")
 	}
 
-	res, err := harness.RunProgramChecked(smallProgram(), machine.TSOPER, harness.Options{Seed: 9})
+	res, err := harness.RunProgramConfigChecked(smallProgram(), machine.TableI(machine.TSOPER), harness.Options{Seed: 9})
 	if err != nil {
 		t.Fatalf("direct run: %v", err)
 	}

@@ -55,7 +55,7 @@ func TestResultMatchesDirectRunAndCaches(t *testing.T) {
 
 	// Direct, in-process run of the same Figure-11 cell.
 	p, _ := trace.ByName(spec.Bench)
-	res, err := harness.RunOneChecked(p, machine.TSOPER, harness.Options{Scale: spec.Scale, Seed: spec.Seed})
+	res, err := harness.RunConfigChecked(p, machine.TableI(machine.TSOPER), harness.Options{Scale: spec.Scale, Seed: spec.Seed})
 	if err != nil {
 		t.Fatalf("direct run: %v", err)
 	}
