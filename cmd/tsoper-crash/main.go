@@ -4,7 +4,7 @@
 // prefix-closed per core and under persist-before dependencies, per-line
 // FIFO).
 //
-// Three modes:
+// Modes:
 //
 //	tsoper-crash -bench radix -system tsoper -crashes 50 -scale 0.3
 //	    sweep one benchmark x system cell, printing every crash point
@@ -16,7 +16,14 @@
 //	tsoper-crash -campaign mutation
 //	    checker mutation testing: every injected persistency fault must
 //	    be rejected with exactly the rule it is engineered to trip
-//	tsoper-crash -compare-out results/checkpoint.json -crashes 40
+//	tsoper-crash -bench radix -system tsoper,stw -faults storm,noc-lossy
+//	    the resilience campaign: each cell runs clean, then under each
+//	    runtime fault preset end to end and cut at -crashes points
+//	    (default 10); every fault must recover, the stall watchdog must
+//	    stay silent, and the checker must accept every recovered state
+//	tsoper-crash -campaign resilience -parallel 4 -json results/faults.json
+//	    the CI resilience campaign: two adversaries x tsoper x every preset
+//	tsoper-crash -compare-out results/fork-vs-replay.json -crashes 40
 //	    time the pressure campaign under prefix-forked vs full-replay
 //	    execution, prove the reports identical, write the comparison
 //
@@ -24,7 +31,8 @@
 // machine. -protocol selects the coherence backend (slc, mesi, or tardis)
 // for the sweep and smoke modes.
 //
-// Exit status: 0 clean, 1 violations or surviving mutants, 2 usage error.
+// Exit status: 0 clean, 1 violations, surviving mutants, stalls or lost
+// persists, 2 usage error.
 package main
 
 import (
@@ -38,6 +46,7 @@ import (
 	"time"
 
 	"repro/internal/crashmc"
+	"repro/internal/faultplan"
 	"repro/internal/machine"
 	"repro/internal/program"
 	"repro/internal/trace"
@@ -64,14 +73,16 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	bench := fs.String("bench", "radix", "comma-separated benchmark names")
 	progFlag := fs.String("program", "", "comma-separated library programs (or JSON files) to crash-sweep instead of -bench")
 	system := fs.String("system", "tsoper", "comma-separated strict systems: tsoper, stw")
-	crashes := fs.Int("crashes", 40, "crash points per benchmark x system tuple (> 0)")
+	crashes := fs.Int("crashes", 40, "crash points per benchmark x system tuple, or per resilience cell (> 0; smoke defaults to 50, resilience to 10)")
 	step := fs.Uint64("step", 1500, "cycles between uniform crash points (> 0)")
 	first := fs.Uint64("first", 500, "first uniform crash cycle (> 0)")
 	scale := fs.Float64("scale", 0.3, "workload scale factor (> 0)")
 	seed := fs.Int64("seed", 42, "workload seed")
 	strategy := fs.String("strategy", "uniform", "crash-point strategy: events, uniform, random")
 	protoFlag := fs.String("protocol", "slc", "coherence protocol: slc, mesi, or tardis")
-	campaign := fs.String("campaign", "", "predefined campaign: smoke or mutation (overrides -bench/-system/-strategy)")
+	campaign := fs.String("campaign", "", "predefined campaign: smoke, mutation, or resilience (overrides -bench/-system)")
+	faults := fs.String("faults", "", "comma-separated fault presets to run the resilience campaign under, over the -bench x -system grid: "+
+		strings.Join(faultplan.PresetNames(), ", "))
 	parallel := fs.Int("parallel", 0, "worker count (0 = GOMAXPROCS)")
 	jsonPath := fs.String("json", "", "write the campaign report to this path as JSON")
 	shrink := fs.Bool("shrink", false, "minimize each failing crash point before reporting it")
@@ -80,12 +91,35 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	usage := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		fs.Usage()
+		return 2
+	}
+
+	resilience := set["faults"] || *campaign == "resilience"
+	if !set["crashes"] {
+		switch {
+		case resilience:
+			*crashes = 10
+		case *campaign == "smoke":
+			*crashes = 50 // x 2 adversaries x 2 systems = 200 injections
+		}
+	}
+
+	if resilience {
+		spec, err := resilienceSpec(set, *bench, *system, *faults, *crashes, *scale, *seed, *campaign, *parallel)
+		if err != nil {
+			return usage(err)
+		}
+		return runResilience(stdout, stderr, spec, *jsonPath)
+	}
 
 	if *compareOut != "" {
 		if *campaign != "" || *progFlag != "" {
-			fmt.Fprintln(stderr, "-compare-out is its own mode; drop -campaign/-program")
-			fs.Usage()
-			return 2
+			return usage(errors.New("-compare-out is its own mode; drop -campaign/-program"))
 		}
 		if err := runCompare(stdout, *compareOut, *seed, *crashes, *parallel, *minSpeedup); err != nil {
 			fmt.Fprintln(stderr, err)
@@ -94,13 +128,11 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	report, err := dispatch(fs, stdout, *bench, *progFlag, *system, *protoFlag, *crashes, *first, *step,
+	report, err := dispatch(stdout, *bench, *progFlag, *system, *protoFlag, *crashes, *first, *step,
 		*scale, *seed, *strategy, *campaign, *parallel, *shrink)
 	var uerr usageError
 	if errors.As(err, &uerr) {
-		fmt.Fprintln(stderr, uerr.Error())
-		fs.Usage()
-		return 2
+		return usage(uerr)
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, err)
@@ -136,7 +168,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 }
 
 // dispatch validates the mode arguments and runs the selected campaign.
-func dispatch(fs *flag.FlagSet, stdout io.Writer, bench, programs, system, protocol string, crashes int,
+func dispatch(stdout io.Writer, bench, programs, system, protocol string, crashes int,
 	first, step uint64, scale float64, seed int64, strategy, campaign string,
 	parallel int, shrink bool) (*crashmc.Report, error) {
 	if crashes <= 0 {
@@ -168,18 +200,12 @@ func dispatch(fs *flag.FlagSet, stdout io.Writer, bench, programs, system, proto
 	case "":
 		return runSweep(stdout, bench, programs, system, proto, crashes, first, step, scale, seed, strat, parallel, shrink)
 	case "smoke":
-		points := 50 // x 2 adversaries x 2 systems = 200 injections
-		crashesSet := false
-		fs.Visit(func(f *flag.Flag) { crashesSet = crashesSet || f.Name == "crashes" })
-		if crashesSet {
-			points = crashes
-		}
 		report, err := crashmc.Run(crashmc.Spec{
 			Name:       "smoke",
 			Benchmarks: crashmc.Adversaries()[:2],
 			Systems:    []machine.SystemKind{machine.TSOPER, machine.STW},
 			Seed:       seed,
-			Points:     points,
+			Points:     crashes,
 			Strategy:   crashmc.StrategyEvents,
 			Parallel:   parallel,
 			Shrink:     shrink,
@@ -192,8 +218,42 @@ func dispatch(fs *flag.FlagSet, stdout io.Writer, bench, programs, system, proto
 	case "mutation":
 		return runMutation(seed, crashes)
 	default:
-		return nil, usagef("unknown campaign %q (want smoke or mutation)", campaign)
+		return nil, usagef("unknown campaign %q (want smoke, mutation, or resilience)", campaign)
 	}
+}
+
+// parseBenches resolves comma-separated benchmark names against the trace
+// roster, then the crashmc adversaries.
+func parseBenches(names string) ([]trace.Profile, error) {
+	var profiles []trace.Profile
+	for _, name := range strings.Split(names, ",") {
+		name = strings.TrimSpace(name)
+		p, ok := trace.ByName(name)
+		if !ok {
+			if p, ok = crashmc.Adversary(name); !ok {
+				return nil, usagef("unknown benchmark %q", name)
+			}
+		}
+		profiles = append(profiles, p)
+	}
+	return profiles, nil
+}
+
+// parseSystems resolves comma-separated system names; only the strict
+// systems claim what the checker verifies.
+func parseSystems(names string) ([]machine.SystemKind, error) {
+	var kinds []machine.SystemKind
+	for _, name := range strings.Split(names, ",") {
+		switch strings.TrimSpace(name) {
+		case "tsoper":
+			kinds = append(kinds, machine.TSOPER)
+		case "stw":
+			kinds = append(kinds, machine.STW)
+		default:
+			return nil, usagef("crash checking requires a strict system (tsoper or stw), got %q", name)
+		}
+	}
+	return kinds, nil
 }
 
 // runSweep is the legacy single-cell mode, generalized to comma-separated
@@ -211,26 +271,14 @@ func runSweep(stdout io.Writer, benches, programs, systems string, proto tsoper.
 			progs = append(progs, p)
 		}
 	} else {
-		for _, name := range strings.Split(benches, ",") {
-			p, ok := trace.ByName(strings.TrimSpace(name))
-			if !ok {
-				if p, ok = crashmc.Adversary(strings.TrimSpace(name)); !ok {
-					return nil, usagef("unknown benchmark %q", name)
-				}
-			}
-			profiles = append(profiles, p)
+		var err error
+		if profiles, err = parseBenches(benches); err != nil {
+			return nil, err
 		}
 	}
-	var kinds []machine.SystemKind
-	for _, name := range strings.Split(systems, ",") {
-		switch strings.TrimSpace(name) {
-		case "tsoper":
-			kinds = append(kinds, machine.TSOPER)
-		case "stw":
-			kinds = append(kinds, machine.STW)
-		default:
-			return nil, usagef("crash checking requires a strict system (tsoper or stw), got %q", name)
-		}
+	kinds, err := parseSystems(systems)
+	if err != nil {
+		return nil, err
 	}
 	report, err := crashmc.Run(crashmc.Spec{
 		Name:       "sweep",
@@ -263,7 +311,86 @@ func runSweep(stdout io.Writer, benches, programs, systems string, proto tsoper.
 	return report, nil
 }
 
-// compareDoc is the results/checkpoint.json artifact: the same pressure
+// resilienceSpec validates the resilience mode's flags into a campaign
+// spec: -faults grids -bench x -system x the named presets, and -campaign
+// resilience is the CI campaign. RunResilience has no program, coherence
+// or crash-strategy axis, so the flags that set one are usage errors here.
+func resilienceSpec(set map[string]bool, bench, system, faults string, points int, scale float64,
+	seed int64, campaign string, parallel int) (spec crashmc.ResilienceSpec, err error) {
+	for _, name := range []string{"program", "strategy", "first", "step", "protocol", "shrink", "compare-out", "min-speedup"} {
+		if set[name] {
+			return spec, usagef("-%s does not apply to the resilience campaign", name)
+		}
+	}
+	if points <= 0 {
+		return spec, usagef("-crashes must be positive, got %d", points)
+	}
+	if scale <= 0 {
+		return spec, usagef("-scale must be positive, got %g", scale)
+	}
+	spec = crashmc.ResilienceSpec{Name: "sweep", Scale: scale, Seed: seed, Points: points, Parallel: parallel}
+	switch campaign {
+	case "resilience":
+		if set["faults"] {
+			return spec, usagef("-campaign resilience runs every fault preset; drop -faults")
+		}
+		spec.Name = "smoke"
+		spec.Benchmarks = crashmc.Adversaries()[:2]
+		spec.Systems = []machine.SystemKind{machine.TSOPER}
+		spec.Schedules = faultplan.Presets()
+		return spec, nil
+	case "":
+	default:
+		return spec, usagef("-faults runs its own grid; drop -campaign %s", campaign)
+	}
+	if spec.Benchmarks, err = parseBenches(bench); err != nil {
+		return spec, err
+	}
+	if spec.Systems, err = parseSystems(system); err != nil {
+		return spec, err
+	}
+	for _, name := range strings.Split(faults, ",") {
+		name = strings.TrimSpace(name)
+		preset, ok := faultplan.Preset(name)
+		if !ok {
+			return spec, usagef("unknown fault preset %q (presets: %s)", name, strings.Join(faultplan.PresetNames(), ", "))
+		}
+		spec.Schedules = append(spec.Schedules, preset)
+	}
+	return spec, nil
+}
+
+// runResilience runs the resilience campaign, printing one line per cell
+// and every incident, and returns the exit status.
+func runResilience(stdout, stderr io.Writer, spec crashmc.ResilienceSpec, jsonPath string) int {
+	report, err := crashmc.RunResilience(spec)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	for _, c := range report.Cells {
+		fmt.Fprintf(stdout, "%s/%s under %-14s %8d -> %8d cycles (%+.1f%%), %4d faults, %d points (%d partial): %s\n",
+			c.Benchmark, c.System, c.Schedule, c.BaselineCycles, c.FaultedCycles, c.OverheadPct,
+			c.Counts.Injected(), c.Points, c.Partial, c.Counts)
+		for _, inc := range c.Incidents {
+			fmt.Fprintf(stderr, "INCIDENT %s/%s/%s @%d [%s]: %s\n",
+				inc.Benchmark, inc.System, inc.Schedule, inc.At, inc.Kind, inc.Detail)
+		}
+	}
+	fmt.Fprintf(stdout, "\n%s\n", report.Summary())
+	if jsonPath != "" {
+		if err := report.WriteJSONFile(jsonPath); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+	}
+	if !report.Clean() {
+		return 1
+	}
+	return 0
+}
+
+// compareDoc is the results/fork-vs-replay.json artifact: the same pressure
 // sweep timed under both execution modes, with proof they agreed.
 type compareDoc struct {
 	Name               string  `json:"name"`
@@ -283,7 +410,7 @@ type compareDoc struct {
 // crash point, from cycle 0) — verifies the two reports are byte-identical,
 // and writes the timing document. This is the evidence behind the claim
 // that forking prefix machines beats replaying, published by CI as
-// results/checkpoint.json.
+// results/fork-vs-replay.json.
 func runCompare(stdout io.Writer, outPath string, seed int64, points, parallel int, minSpeedup float64) error {
 	spec := crashmc.Spec{
 		Name:       "checkpoint-compare",

@@ -31,6 +31,26 @@ func TestExitCodes(t *testing.T) {
 		{name: "program with campaign", argv: []string{"-program", "radix", "-campaign", "smoke"}, want: 2, stderr: "sweep mode"},
 		{name: "non-strict system", argv: []string{"-system", "bsp"}, want: 2, stderr: "strict system"},
 		{name: "compare with campaign", argv: []string{"-compare-out", "x.json", "-campaign", "smoke"}, want: 2, stderr: "its own mode"},
+		// Resilience mode: -faults or -campaign resilience.
+		{name: "unknown fault preset", argv: []string{"-faults", "blizzard"}, want: 2, stderr: "unknown fault preset"},
+		{name: "faults with program", argv: []string{"-faults", "storm", "-program", "producer-consumer-ring"}, want: 2, stderr: "-program does not apply"},
+		{name: "faults with strategy", argv: []string{"-faults", "storm", "-strategy", "events"}, want: 2, stderr: "-strategy does not apply"},
+		{name: "faults with first", argv: []string{"-faults", "storm", "-first", "500"}, want: 2, stderr: "-first does not apply"},
+		{name: "faults with step", argv: []string{"-faults", "storm", "-step", "1500"}, want: 2, stderr: "-step does not apply"},
+		{name: "faults with protocol", argv: []string{"-faults", "storm", "-protocol", "slc"}, want: 2, stderr: "-protocol does not apply"},
+		{name: "faults with shrink", argv: []string{"-faults", "storm", "-shrink"}, want: 2, stderr: "-shrink does not apply"},
+		{name: "faults with compare-out", argv: []string{"-faults", "storm", "-compare-out", "x.json"}, want: 2, stderr: "-compare-out does not apply"},
+		{name: "faults with min-speedup", argv: []string{"-faults", "storm", "-min-speedup", "2"}, want: 2, stderr: "-min-speedup does not apply"},
+		{name: "faults with campaign", argv: []string{"-faults", "storm", "-campaign", "smoke"}, want: 2, stderr: "drop -campaign"},
+		{name: "resilience campaign with faults", argv: []string{"-campaign", "resilience", "-faults", "storm"}, want: 2, stderr: "drop -faults"},
+		{name: "resilience campaign with protocol", argv: []string{"-campaign", "resilience", "-protocol", "tardis"}, want: 2, stderr: "-protocol does not apply"},
+		{name: "resilience non-positive crashes", argv: []string{"-faults", "storm", "-crashes", "0"}, want: 2, stderr: "-crashes must be positive"},
+		{name: "resilience non-positive scale", argv: []string{"-faults", "storm", "-scale", "0"}, want: 2, stderr: "-scale must be positive"},
+		{name: "resilience unknown benchmark", argv: []string{"-faults", "storm", "-bench", "doom"}, want: 2, stderr: "unknown benchmark"},
+		{name: "resilience non-strict system", argv: []string{"-faults", "storm", "-system", "hwrp"}, want: 2, stderr: "strict system"},
+		{name: "resilience unknown campaign", argv: []string{"-faults", "storm", "-campaign", "lunch"}, want: 2, stderr: "drop -campaign lunch"},
+		// The retired tsoper-faults point budget; resilience mode takes -crashes.
+		{name: "resilience bad flag", argv: []string{"-faults", "storm", "-points", "5"}, want: 2, stderr: "not defined: -points"},
 		// Retired flag, paired with a 1-point sweep that exits 0 on its own.
 		{
 			name: "retired full-replay flag",
@@ -50,6 +70,11 @@ func TestExitCodes(t *testing.T) {
 		{
 			name: "clean tardis sweep",
 			argv: []string{"-bench", "radix", "-system", "tsoper", "-crashes", "2", "-scale", "0.05", "-protocol", "tardis"},
+			want: 0, slow: true,
+		},
+		{
+			name: "clean resilience cell",
+			argv: []string{"-bench", "radix", "-system", "tsoper", "-faults", "nvm-transient", "-crashes", "1", "-scale", "0.05"},
 			want: 0, slow: true,
 		},
 	}
@@ -78,7 +103,7 @@ func TestCompareMode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two real campaigns")
 	}
-	out := filepath.Join(t.TempDir(), "checkpoint.json")
+	out := filepath.Join(t.TempDir(), "fork-vs-replay.json")
 	var stdout, stderr bytes.Buffer
 	if got := run([]string{"-compare-out", out, "-crashes", "5", "-parallel", "4"}, &stdout, &stderr); got != 0 {
 		t.Fatalf("compare mode = %d\nstderr: %s", got, stderr.String())
@@ -131,5 +156,47 @@ func TestMutationCountsInjectionsRun(t *testing.T) {
 	if len(report.Kills) == 0 || report.Injections != tried {
 		t.Fatalf("report counts %d injections over %d kills, but the faults tried %d crash points",
 			report.Injections, len(report.Kills), tried)
+	}
+}
+
+// TestResilienceDefaults pins the resilience mode's defaults: without
+// -crashes, each cell takes 10 crash points, and a -faults grid is the
+// "sweep" report over -bench x -system.
+func TestResilienceDefaults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a real campaign")
+	}
+	out := filepath.Join(t.TempDir(), "faults.json")
+	var stdout, stderr bytes.Buffer
+	argv := []string{"-faults", "nvm-transient,noc-lossy", "-scale", "0.05", "-json", out}
+	if got := run(argv, &stdout, &stderr); got != 0 {
+		t.Fatalf("resilience sweep = %d\nstderr: %s", got, stderr.String())
+	}
+	body, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var report struct {
+		Name        string  `json:"name"`
+		Scale       float64 `json:"scale"`
+		CrashPoints int     `json:"crash_points"`
+		Cells       []struct {
+			Benchmark string `json:"benchmark"`
+			System    string `json:"system"`
+			Schedule  string `json:"schedule"`
+			Points    int    `json:"points"`
+		} `json:"cells"`
+	}
+	if err := json.Unmarshal(body, &report); err != nil {
+		t.Fatal(err)
+	}
+	if report.Name != "sweep" || report.Scale != 0.05 || report.CrashPoints != 20 || len(report.Cells) != 2 {
+		t.Fatalf("report %+v, want sweep at scale 0.05 with 2 cells of 10 points", report)
+	}
+	for i, want := range []string{"nvm-transient", "noc-lossy"} {
+		c := report.Cells[i]
+		if c.Benchmark != "radix" || c.System != "tsoper" || c.Schedule != want || c.Points != 10 {
+			t.Errorf("cell %d = %+v, want radix/tsoper under %s with 10 points", i, c, want)
+		}
 	}
 }

@@ -11,7 +11,7 @@
 //	tsoper-litmus -corpus -json results/litmus.json
 //	    the CI gate: full corpus x {wheel, heap} x fault presets, plus
 //	    mutation testing of the oracle itself
-//	tsoper-litmus -test mp -faults none -no-mutation
+//	tsoper-litmus -test mp -faults none
 //	    one test on both schedulers, no fault presets
 //	tsoper-litmus -corpus -protocol tardis -faults none
 //	    the corpus gate on a non-default coherence backend
@@ -54,8 +54,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		list        = fs.Bool("list", false, "list the corpus tests")
 		faults      = fs.String("faults", defaultPresets, "comma-separated fault presets to gate under (\"none\" disables)")
 		fault       = fs.String("fault", "", "inject a persistency CrashFault into every recovered state (mutation debugging)")
-		mutation    = fs.Bool("mutation", false, "with -corpus: also run oracle mutation testing (default on)")
-		noMutation  = fs.Bool("no-mutation", false, "with -corpus: skip oracle mutation testing")
+		noMutation  = fs.Bool("no-mutation", false, "with -corpus: skip oracle mutation testing (a -test run has none)")
 		shrink      = fs.Bool("shrink", false, "minimize a failing test before reporting it")
 		budget      = fs.Int("budget", 0, "crash points per perturbation (0 = default)")
 		protocol    = fs.String("protocol", "slc", "coherence protocol: slc, mesi, or tardis")
@@ -216,7 +215,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 
 	// Axis 3: oracle mutation testing — every injectable persistency fault
 	// must be killed by some corpus test.
-	if *corpus && !*noMutation || *mutation {
+	if *corpus && !*noMutation {
 		kills, err := litmus.MutationKills(tests, litmus.Options{
 			System: machine.TSOPER, CrashBudget: *budget,
 		})

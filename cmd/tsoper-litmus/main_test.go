@@ -28,8 +28,9 @@ func TestExitCodes(t *testing.T) {
 		{name: "unknown crash fault", argv: []string{"-fault", "gremlin"}, want: 2, stderr: "unknown crash fault"},
 		{name: "unknown test", argv: []string{"-test", "zz"}, want: 2, stderr: "unknown corpus test"},
 		{name: "list", argv: []string{"-list"}, want: 0},
-		// Retired flag, paired with -list, which exits 0 on its own.
+		// Retired flags, paired with -list, which exits 0 on its own.
 		{name: "retired scheduler flag", argv: []string{"-scheduler", "both", "-list"}, want: 2, stderr: "not defined: -scheduler"},
+		{name: "retired mutation flag", argv: []string{"-mutation", "-list"}, want: 2, stderr: "not defined: -mutation"},
 		{
 			name: "single test conforms",
 			argv: []string{"-test", "mp", "-faults", "none", "-no-mutation"},

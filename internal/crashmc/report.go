@@ -89,19 +89,25 @@ func (r *Report) Summary() string {
 }
 
 // WriteJSON writes the indented artifact.
-func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
+func (r *Report) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
 
 // WriteJSONFile writes the artifact to path.
-func (r *Report) WriteJSONFile(path string) error {
+func (r *Report) WriteJSONFile(path string) error { return writeJSONFile(path, r) }
+
+// writeJSON writes a campaign report as indented JSON.
+func writeJSON(w io.Writer, report any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(report)
+}
+
+// writeJSONFile writes a campaign report to path as indented JSON.
+func writeJSONFile(path string, report any) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := r.WriteJSON(f); err != nil {
+	if err := writeJSON(f, report); err != nil {
 		f.Close()
 		return err
 	}

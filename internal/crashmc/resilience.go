@@ -1,11 +1,9 @@
 package crashmc
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 
 	"repro/internal/checker"
@@ -139,59 +137,10 @@ func (r *ResilienceReport) Summary() string {
 }
 
 // WriteJSON writes the indented artifact.
-func (r *ResilienceReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
+func (r *ResilienceReport) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
 
 // WriteJSONFile writes the artifact to path.
-func (r *ResilienceReport) WriteJSONFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := r.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// BenchResult mirrors cmd/benchjson's entry shape so resilience horizons
-// land in the same results/ tracking format as the benchmarks.
-type BenchResult struct {
-	NsPerOp    float64 `json:"ns_per_op"`
-	Iterations int64   `json:"iterations"`
-}
-
-// BenchEntries renders the campaign's cycle horizons as a benchjson-style
-// map: one baseline entry per tuple and one entry per schedule cell
-// (ns_per_op carries simulated cycles; iterations the crash points run).
-func (r *ResilienceReport) BenchEntries() map[string]BenchResult {
-	out := make(map[string]BenchResult)
-	for _, c := range r.Cells {
-		base := fmt.Sprintf("Resilience/%s/%s", c.Benchmark, c.System)
-		out[base+"/baseline"] = BenchResult{NsPerOp: float64(c.BaselineCycles), Iterations: 1}
-		out[base+"/"+c.Schedule] = BenchResult{NsPerOp: float64(c.FaultedCycles), Iterations: int64(c.Points)}
-	}
-	return out
-}
-
-// WriteBenchJSONFile writes BenchEntries to path, benchjson-compatible.
-func (r *ResilienceReport) WriteBenchJSONFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r.BenchEntries()); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
+func (r *ResilienceReport) WriteJSONFile(path string) error { return writeJSONFile(path, r) }
 
 // RunResilience executes the campaign. Simulations are fully deterministic,
 // so the report is identical for identical specs regardless of worker count.

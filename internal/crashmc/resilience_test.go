@@ -137,7 +137,8 @@ func TestResilienceReportsAbandonment(t *testing.T) {
 	}
 }
 
-func TestResilienceJSONAndBenchEntries(t *testing.T) {
+// The JSON artifact round-trips; it carries each cell's horizons.
+func TestResilienceJSONRoundTrip(t *testing.T) {
 	spec := resilienceSpec()
 	spec.Schedules = spec.Schedules[:1]
 	spec.Points = 2
@@ -153,17 +154,7 @@ func TestResilienceJSONAndBenchEntries(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Injections != report.Injections || back.Name != report.Name || len(back.Cells) != len(report.Cells) {
-		t.Fatalf("round trip lost data: %+v", back)
-	}
-	entries := report.BenchEntries()
-	c := report.Cells[0]
-	base := entries["Resilience/"+c.Benchmark+"/"+c.System+"/baseline"]
-	faulted := entries["Resilience/"+c.Benchmark+"/"+c.System+"/"+c.Schedule]
-	if base.NsPerOp != float64(c.BaselineCycles) || faulted.NsPerOp != float64(c.FaultedCycles) {
-		t.Fatalf("bench entries wrong: %+v vs cell %+v", entries, c)
-	}
-	if faulted.Iterations != int64(c.Points) {
-		t.Fatalf("iterations %d, want %d", faulted.Iterations, c.Points)
+	if !reflect.DeepEqual(&back, report) {
+		t.Fatalf("round trip lost data:\n%+v\nvs\n%+v", back, *report)
 	}
 }

@@ -32,8 +32,12 @@ type Failure struct {
 }
 
 func (f Failure) String() string {
-	return fmt.Sprintf("%s/%s cores=%d ops=%d seed=%d crash@%d fault=%s rule=%s",
+	s := fmt.Sprintf("%s/%s cores=%d ops=%d seed=%d crash@%d fault=%s rule=%s",
 		f.Profile.Name, f.System, f.Cores, f.Profile.OpsPerCore, f.Seed, f.At, f.Fault, f.Rule)
+	if f.Coherence != "" {
+		s += " coherence=" + f.Coherence
+	}
+	return s
 }
 
 // Reproduce re-runs the failure and returns the checker's violation (nil

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/trace"
 )
 
 // findFailing returns a Failure that reproduces: the torn-group fault armed
@@ -80,5 +81,23 @@ func TestReproduceUnknownNames(t *testing.T) {
 	f.Coherence = "bogus"
 	if err := Reproduce(f); err == nil || !strings.Contains(err.Error(), "bogus") {
 		t.Fatalf("unknown coherence backend: %v", err)
+	}
+}
+
+// A shrunk case must reproduce from its printed text, so the text names a
+// non-SLC coherence backend; SLC cases print as they always have.
+func TestFailureStringNamesCoherence(t *testing.T) {
+	f := Failure{
+		Profile: trace.Profile{Name: "adv_hotline", OpsPerCore: 37},
+		System:  "tsoper", Cores: 2, Seed: 42, At: 85,
+		Fault: "torn-group", Rule: "atomicity",
+	}
+	const slc = "adv_hotline/tsoper cores=2 ops=37 seed=42 crash@85 fault=torn-group rule=atomicity"
+	if got := f.String(); got != slc {
+		t.Fatalf("SLC failure prints %q, want %q", got, slc)
+	}
+	f.Coherence = "tardis"
+	if got, want := f.String(), slc+" coherence=tardis"; got != want {
+		t.Fatalf("tardis failure prints %q, want %q", got, want)
 	}
 }

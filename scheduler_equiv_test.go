@@ -32,13 +32,13 @@ var equivSeeds = [...]int64{1, 2, 3, 4, 5, 6, 7, 8}
 // systems without quadrupling the run count.
 var equivSystems = [...]tsoper.System{tsoper.TSOPER, tsoper.HWRP, tsoper.BSP, tsoper.STW}
 
-// runEquiv executes one configuration under the given scheduler and returns
-// the results plus the serialized snapshot.
+// runEquiv executes one configuration under the scheduler its Config
+// names and returns the results plus the serialized snapshot.
 func runEquiv(t *testing.T, p tsoper.Profile, sys tsoper.System, o tsoper.RunOptions) (*tsoper.Results, []byte) {
 	t.Helper()
 	r, err := tsoper.Run(p, sys, o)
 	if err != nil {
-		t.Fatalf("%s/%s (scheduler %s): %v", p.Name, sys, o.Scheduler, err)
+		t.Fatalf("%s/%s (scheduler %s): %v", p.Name, sys, o.Config.Scheduler, err)
 	}
 	var buf bytes.Buffer
 	if err := r.Snapshot().WriteJSON(&buf); err != nil {
@@ -48,14 +48,16 @@ func runEquiv(t *testing.T, p tsoper.Profile, sys tsoper.System, o tsoper.RunOpt
 }
 
 // equivConfig is the machine configuration tsoper.Run builds for these
-// options, so the checkpoint axis can drive the same run on the machine API.
-func equivConfig(sys tsoper.System, o tsoper.RunOptions) machine.Config {
+// options, on the given scheduler. Handed back as RunOptions.Config, it
+// selects the scheduler for tsoper.Run; the checkpoint axis drives the
+// same run on the machine API.
+func equivConfig(sys tsoper.System, o tsoper.RunOptions, kind sim.SchedulerKind) machine.Config {
 	cfg := tsoper.TableI(sys)
 	if o.Config != nil {
 		cfg = *o.Config
 	}
 	cfg.System = sys
-	cfg.Scheduler = o.Scheduler
+	cfg.Scheduler = kind
 	if o.Protocol != tsoper.ProtocolSLC {
 		cfg.Coherence = o.Protocol
 	}
@@ -124,9 +126,9 @@ func assertCheckpointResume(t *testing.T, cfg machine.Config, w *trace.Workload,
 // reproduces the same bytes.
 func assertEquivalent(t *testing.T, p tsoper.Profile, sys tsoper.System, o tsoper.RunOptions) {
 	t.Helper()
+	ch, cw := equivConfig(sys, o, sim.SchedulerHeap), equivConfig(sys, o, sim.SchedulerWheel)
 	oh, ow := o, o
-	oh.Scheduler = tsoper.SchedulerHeap
-	ow.Scheduler = tsoper.SchedulerWheel
+	oh.Config, ow.Config = &ch, &cw
 	rh, sh := runEquiv(t, p, sys, oh)
 	rw, sw := runEquiv(t, p, sys, ow)
 	if !bytes.Equal(sh, sw) {
@@ -150,7 +152,6 @@ func assertEquivalent(t *testing.T, p tsoper.Profile, sys tsoper.System, o tsope
 	if !reflect.DeepEqual(rh.Durable, rw.Durable) {
 		t.Fatal("durable NVM image differs between schedulers")
 	}
-	ch, cw := equivConfig(sys, oh), equivConfig(sys, ow)
 	w := tsoper.Generate(p.Scale(o.Scale), ch.Cores, o.Seed)
 	assertCheckpointResume(t, ch, w, rh, sh)
 	assertCheckpointResume(t, cw, w, rw, sw)
@@ -273,7 +274,8 @@ func TestSchedulerEquivalencePrograms(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s/seed%d", name, sys, seed), func(t *testing.T) {
 				t.Parallel()
 				runProg := func(kind sim.SchedulerKind) (*tsoper.Results, []byte) {
-					r, err := tsoper.RunProgram(p, sys, tsoper.RunOptions{Seed: seed, Scheduler: kind})
+					cfg := equivConfig(sys, tsoper.RunOptions{}, kind)
+					r, err := tsoper.RunProgram(p, sys, tsoper.RunOptions{Seed: seed, Config: &cfg})
 					if err != nil {
 						t.Fatalf("%s/%s (scheduler %s): %v", name, sys, kind, err)
 					}
@@ -283,8 +285,8 @@ func TestSchedulerEquivalencePrograms(t *testing.T) {
 					}
 					return r, buf.Bytes()
 				}
-				rh, sh := runProg(tsoper.SchedulerHeap)
-				rw, sw := runProg(tsoper.SchedulerWheel)
+				rh, sh := runProg(sim.SchedulerHeap)
+				rw, sw := runProg(sim.SchedulerWheel)
 				if !bytes.Equal(sh, sw) {
 					for i, d := range rh.Snapshot().Diff(rw.Snapshot()) {
 						if i >= 20 {
@@ -303,11 +305,11 @@ func TestSchedulerEquivalencePrograms(t *testing.T) {
 
 				// Checkpoint axis on each scheduler.
 				for _, run := range []struct {
-					kind tsoper.Scheduler
+					kind sim.SchedulerKind
 					res  *tsoper.Results
 					want []byte
-				}{{tsoper.SchedulerHeap, rh, sh}, {tsoper.SchedulerWheel, rw, sw}} {
-					cfg := equivConfig(sys, tsoper.RunOptions{Scheduler: run.kind})
+				}{{sim.SchedulerHeap, rh, sh}, {sim.SchedulerWheel, rw, sw}} {
+					cfg := equivConfig(sys, tsoper.RunOptions{}, run.kind)
 					w, err := tsoper.CompileProgram(p, cfg, seed)
 					if err != nil {
 						t.Fatal(err)

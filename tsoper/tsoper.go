@@ -111,16 +111,6 @@ func Generate(p Profile, cores int, seed int64) *Workload {
 	return trace.Generate(p, cores, seed)
 }
 
-// Scheduler selects the simulation engine's event-queue implementation.
-type Scheduler = sim.SchedulerKind
-
-const (
-	// SchedulerWheel is the default hierarchical timing wheel.
-	SchedulerWheel = sim.SchedulerWheel
-	// SchedulerHeap is the binary-heap reference implementation.
-	SchedulerHeap = sim.SchedulerHeap
-)
-
 // RunOptions tunes a single simulation run. Every run simulates from
 // cycle 0 to completion on a fresh machine, and its results are a
 // deterministic function of the workload, the configuration and the seed.
@@ -129,8 +119,6 @@ type RunOptions struct {
 	Scale float64
 	// Seed drives workload generation (default 42).
 	Seed int64
-	// Scheduler selects the event-queue implementation (default wheel).
-	Scheduler Scheduler
 	// Protocol selects the coherence backend (default SLC). Applied after
 	// Config, so it also overrides an explicit Config's Coherence field.
 	Protocol Protocol
@@ -142,9 +130,6 @@ func (o RunOptions) config(system System) Config {
 	cfg := TableI(system)
 	if o.Config != nil {
 		cfg = *o.Config
-	}
-	if o.Scheduler != SchedulerWheel {
-		cfg.Scheduler = o.Scheduler
 	}
 	if o.Protocol != ProtocolSLC {
 		cfg.Coherence = o.Protocol
