@@ -29,7 +29,8 @@
 //
 // Sweeps fork each crash point from an incrementally advanced prefix
 // machine. -protocol selects the coherence backend (slc, mesi, or tardis)
-// for the sweep and smoke modes.
+// for the sweep and smoke modes. Each mode reads only the flags in its
+// modeFlags row; setting any other flag is a usage error.
 //
 // Exit status: 0 clean, 1 violations, surviving mutants, stalls or lost
 // persists, 2 usage error.
@@ -42,6 +43,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -80,7 +82,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	seed := fs.Int64("seed", 42, "workload seed")
 	strategy := fs.String("strategy", "uniform", "crash-point strategy: events, uniform, random")
 	protoFlag := fs.String("protocol", "slc", "coherence protocol: slc, mesi, or tardis")
-	campaign := fs.String("campaign", "", "predefined campaign: smoke, mutation, or resilience (overrides -bench/-system)")
+	campaign := fs.String("campaign", "", "predefined campaign on its own grid: smoke, mutation, or resilience")
 	faults := fs.String("faults", "", "comma-separated fault presets to run the resilience campaign under, over the -bench x -system grid: "+
 		strings.Join(faultplan.PresetNames(), ", "))
 	parallel := fs.Int("parallel", 0, "worker count (0 = GOMAXPROCS)")
@@ -91,45 +93,86 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
-	set := make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	usage := func(err error) int {
 		fmt.Fprintln(stderr, err)
 		fs.Usage()
 		return 2
 	}
+	mode, err := selectMode(*campaign, *faults, *compareOut, *progFlag)
+	if err != nil {
+		return usage(err)
+	}
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) {
+		set[f.Name] = true
+		if err == nil && !slices.Contains(modeFlags[mode], f.Name) {
+			err = usagef("-%s does not apply to the %s", f.Name, mode)
+		}
+	})
+	if err != nil {
+		return usage(err)
+	}
 
-	resilience := set["faults"] || *campaign == "resilience"
 	if !set["crashes"] {
-		switch {
-		case resilience:
+		switch mode {
+		case "resilience sweep", "resilience campaign":
 			*crashes = 10
-		case *campaign == "smoke":
+		case "smoke campaign":
 			*crashes = 50 // x 2 adversaries x 2 systems = 200 injections
 		}
 	}
+	strat, ok := crashmc.ParseStrategy(*strategy)
+	proto, perr := tsoper.ParseProtocol(*protoFlag)
+	switch {
+	case *crashes <= 0:
+		return usage(fmt.Errorf("-crashes must be positive, got %d", *crashes))
+	case *step == 0:
+		return usage(errors.New("-step must be positive"))
+	case *first == 0:
+		return usage(errors.New("-first must be positive"))
+	case *scale <= 0:
+		return usage(fmt.Errorf("-scale must be positive, got %g", *scale))
+	case !ok:
+		return usage(fmt.Errorf("unknown strategy %q (want events, uniform, or random)", *strategy))
+	case perr != nil:
+		return usage(perr)
+	}
 
-	if resilience {
-		spec, err := resilienceSpec(set, *bench, *system, *faults, *crashes, *scale, *seed, *campaign, *parallel)
+	var report *crashmc.Report
+	switch mode {
+	case "resilience sweep", "resilience campaign":
+		spec, err := resilienceSpec(*bench, *system, *faults, *crashes, *scale, *seed, *campaign, *parallel)
 		if err != nil {
 			return usage(err)
 		}
 		return runResilience(stdout, stderr, spec, *jsonPath)
-	}
-
-	if *compareOut != "" {
-		if *campaign != "" || *progFlag != "" {
-			return usage(errors.New("-compare-out is its own mode; drop -campaign/-program"))
-		}
+	case "fork-vs-replay comparison":
 		if err := runCompare(stdout, *compareOut, *seed, *crashes, *parallel, *minSpeedup); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		return 0
+	case "smoke campaign":
+		report, err = crashmc.Run(crashmc.Spec{
+			Name:       "smoke",
+			Benchmarks: crashmc.Adversaries()[:2],
+			Systems:    []machine.SystemKind{machine.TSOPER, machine.STW},
+			Seed:       *seed,
+			Points:     *crashes,
+			Strategy:   crashmc.StrategyEvents,
+			Parallel:   *parallel,
+			Shrink:     *shrink,
+			Coherence:  proto,
+		})
+		if report != nil {
+			fmt.Fprintln(stdout, report.Summary())
+		}
+	case "mutation campaign":
+		report, err = runMutation(*seed, *crashes)
+	default:
+		report, err = runSweep(stdout, *bench, *progFlag, *system, proto, *crashes, *first, *step,
+			*scale, *seed, strat, *parallel, *shrink)
 	}
-
-	report, err := dispatch(stdout, *bench, *progFlag, *system, *protoFlag, *crashes, *first, *step,
-		*scale, *seed, *strategy, *campaign, *parallel, *shrink)
 	var uerr usageError
 	if errors.As(err, &uerr) {
 		return usage(uerr)
@@ -167,59 +210,34 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// dispatch validates the mode arguments and runs the selected campaign.
-func dispatch(stdout io.Writer, bench, programs, system, protocol string, crashes int,
-	first, step uint64, scale float64, seed int64, strategy, campaign string,
-	parallel int, shrink bool) (*crashmc.Report, error) {
-	if crashes <= 0 {
-		return nil, usagef("-crashes must be positive, got %d", crashes)
-	}
-	if step == 0 {
-		return nil, usagef("-step must be positive")
-	}
-	if first == 0 {
-		return nil, usagef("-first must be positive")
-	}
-	if scale <= 0 {
-		return nil, usagef("-scale must be positive, got %g", scale)
-	}
-	strat, ok := crashmc.ParseStrategy(strategy)
-	if !ok {
-		return nil, usagef("unknown strategy %q (want events, uniform, or random)", strategy)
-	}
-	proto, err := tsoper.ParseProtocol(protocol)
-	if err != nil {
-		return nil, usageError{err}
-	}
+// modeFlags lists, for each mode, the flags it reads. run rejects any set
+// flag outside the selected mode's row, so no mode ignores a flag silently.
+var modeFlags = map[string][]string{
+	"sweep":                     {"bench", "system", "crashes", "first", "step", "scale", "seed", "strategy", "protocol", "parallel", "json", "shrink"},
+	"program sweep":             {"program", "system", "crashes", "first", "step", "seed", "strategy", "protocol", "parallel", "json", "shrink"},
+	"smoke campaign":            {"campaign", "crashes", "seed", "protocol", "parallel", "json", "shrink"},
+	"mutation campaign":         {"campaign", "crashes", "seed", "json"},
+	"resilience sweep":          {"faults", "bench", "system", "crashes", "scale", "seed", "parallel", "json"},
+	"resilience campaign":       {"campaign", "crashes", "scale", "seed", "parallel", "json"},
+	"fork-vs-replay comparison": {"compare-out", "crashes", "seed", "parallel", "min-speedup"},
+}
 
-	if programs != "" && campaign != "" {
-		return nil, usagef("-program applies to the sweep mode, not -campaign %s", campaign)
+// selectMode names the mode the flags select, in precedence order:
+// -campaign, -faults, -compare-out, -program, else the benchmark sweep.
+func selectMode(campaign, faults, compareOut, programs string) (string, error) {
+	switch {
+	case campaign == "smoke", campaign == "mutation", campaign == "resilience":
+		return campaign + " campaign", nil
+	case campaign != "":
+		return "", usagef("unknown campaign %q (want smoke, mutation, or resilience)", campaign)
+	case faults != "":
+		return "resilience sweep", nil
+	case compareOut != "":
+		return "fork-vs-replay comparison", nil
+	case programs != "":
+		return "program sweep", nil
 	}
-
-	switch campaign {
-	case "":
-		return runSweep(stdout, bench, programs, system, proto, crashes, first, step, scale, seed, strat, parallel, shrink)
-	case "smoke":
-		report, err := crashmc.Run(crashmc.Spec{
-			Name:       "smoke",
-			Benchmarks: crashmc.Adversaries()[:2],
-			Systems:    []machine.SystemKind{machine.TSOPER, machine.STW},
-			Seed:       seed,
-			Points:     crashes,
-			Strategy:   crashmc.StrategyEvents,
-			Parallel:   parallel,
-			Shrink:     shrink,
-			Coherence:  proto,
-		})
-		if report != nil {
-			fmt.Fprintln(stdout, report.Summary())
-		}
-		return report, err
-	case "mutation":
-		return runMutation(seed, crashes)
-	default:
-		return nil, usagef("unknown campaign %q (want smoke, mutation, or resilience)", campaign)
-	}
+	return "sweep", nil
 }
 
 // parseBenches resolves comma-separated benchmark names against the trace
@@ -311,37 +329,18 @@ func runSweep(stdout io.Writer, benches, programs, systems string, proto tsoper.
 	return report, nil
 }
 
-// resilienceSpec validates the resilience mode's flags into a campaign
-// spec: -faults grids -bench x -system x the named presets, and -campaign
-// resilience is the CI campaign. RunResilience has no program, coherence
-// or crash-strategy axis, so the flags that set one are usage errors here.
-func resilienceSpec(set map[string]bool, bench, system, faults string, points int, scale float64,
+// resilienceSpec builds the resilience campaign's spec: -campaign
+// resilience is the CI grid, and -faults grids -bench x -system x the named
+// presets.
+func resilienceSpec(bench, system, faults string, points int, scale float64,
 	seed int64, campaign string, parallel int) (spec crashmc.ResilienceSpec, err error) {
-	for _, name := range []string{"program", "strategy", "first", "step", "protocol", "shrink", "compare-out", "min-speedup"} {
-		if set[name] {
-			return spec, usagef("-%s does not apply to the resilience campaign", name)
-		}
-	}
-	if points <= 0 {
-		return spec, usagef("-crashes must be positive, got %d", points)
-	}
-	if scale <= 0 {
-		return spec, usagef("-scale must be positive, got %g", scale)
-	}
 	spec = crashmc.ResilienceSpec{Name: "sweep", Scale: scale, Seed: seed, Points: points, Parallel: parallel}
-	switch campaign {
-	case "resilience":
-		if set["faults"] {
-			return spec, usagef("-campaign resilience runs every fault preset; drop -faults")
-		}
+	if campaign == "resilience" {
 		spec.Name = "smoke"
 		spec.Benchmarks = crashmc.Adversaries()[:2]
 		spec.Systems = []machine.SystemKind{machine.TSOPER}
 		spec.Schedules = faultplan.Presets()
 		return spec, nil
-	case "":
-	default:
-		return spec, usagef("-faults runs its own grid; drop -campaign %s", campaign)
 	}
 	if spec.Benchmarks, err = parseBenches(bench); err != nil {
 		return spec, err

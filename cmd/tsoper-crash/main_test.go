@@ -11,6 +11,10 @@ import (
 
 // TestExitCodes pins the CLI contract: 0 clean, 1 findings, 2 usage.
 func TestExitCodes(t *testing.T) {
+	// Paths for the cases that name an output file: a usage error must exit
+	// before writing it.
+	dir := t.TempDir()
+	x, y := filepath.Join(dir, "x.json"), filepath.Join(dir, "y.json")
 	cases := []struct {
 		name   string
 		argv   []string
@@ -28,9 +32,19 @@ func TestExitCodes(t *testing.T) {
 		{name: "unknown benchmark", argv: []string{"-bench", "doom"}, want: 2, stderr: "unknown benchmark"},
 		{name: "unknown protocol", argv: []string{"-protocol", "dragon"}, want: 2, stderr: "unknown coherence protocol"},
 		{name: "unknown program", argv: []string{"-program", "no-such-program"}, want: 2, stderr: "neither a library program"},
-		{name: "program with campaign", argv: []string{"-program", "radix", "-campaign", "smoke"}, want: 2, stderr: "sweep mode"},
+		{name: "program with campaign", argv: []string{"-program", "radix", "-campaign", "smoke"}, want: 2, stderr: "-program does not apply to the smoke campaign"},
 		{name: "non-strict system", argv: []string{"-system", "bsp"}, want: 2, stderr: "strict system"},
-		{name: "compare with campaign", argv: []string{"-compare-out", "x.json", "-campaign", "smoke"}, want: 2, stderr: "its own mode"},
+		{name: "compare with campaign", argv: []string{"-compare-out", x, "-campaign", "smoke"}, want: 2, stderr: "-compare-out does not apply to the smoke campaign"},
+		// Each mode rejects the flags it does not read (modeFlags), and
+		// -crashes is checked before any mode runs.
+		{name: "compare non-positive crashes", argv: []string{"-compare-out", x, "-crashes", "0"}, want: 2, stderr: "-crashes must be positive"},
+		{name: "compare with json", argv: []string{"-compare-out", x, "-json", y}, want: 2, stderr: "-json does not apply to the fork-vs-replay comparison"},
+		{name: "min-speedup without compare-out", argv: []string{"-min-speedup", "2"}, want: 2, stderr: "-min-speedup does not apply to the sweep"},
+		{name: "smoke with scale", argv: []string{"-campaign", "smoke", "-scale", "0.1", "-crashes", "2", "-json", y}, want: 2, stderr: "-scale does not apply to the smoke campaign"},
+		{name: "smoke with strategy", argv: []string{"-campaign", "smoke", "-strategy", "random"}, want: 2, stderr: "-strategy does not apply to the smoke campaign"},
+		{name: "mutation with scale", argv: []string{"-campaign", "mutation", "-scale", "0.1"}, want: 2, stderr: "-scale does not apply to the mutation campaign"},
+		{name: "mutation with protocol", argv: []string{"-campaign", "mutation", "-protocol", "tardis"}, want: 2, stderr: "-protocol does not apply to the mutation campaign"},
+		{name: "program with scale", argv: []string{"-program", "producer-consumer-ring", "-scale", "0.1"}, want: 2, stderr: "-scale does not apply to the program sweep"},
 		// Resilience mode: -faults or -campaign resilience.
 		{name: "unknown fault preset", argv: []string{"-faults", "blizzard"}, want: 2, stderr: "unknown fault preset"},
 		{name: "faults with program", argv: []string{"-faults", "storm", "-program", "producer-consumer-ring"}, want: 2, stderr: "-program does not apply"},
@@ -39,16 +53,16 @@ func TestExitCodes(t *testing.T) {
 		{name: "faults with step", argv: []string{"-faults", "storm", "-step", "1500"}, want: 2, stderr: "-step does not apply"},
 		{name: "faults with protocol", argv: []string{"-faults", "storm", "-protocol", "slc"}, want: 2, stderr: "-protocol does not apply"},
 		{name: "faults with shrink", argv: []string{"-faults", "storm", "-shrink"}, want: 2, stderr: "-shrink does not apply"},
-		{name: "faults with compare-out", argv: []string{"-faults", "storm", "-compare-out", "x.json"}, want: 2, stderr: "-compare-out does not apply"},
+		{name: "faults with compare-out", argv: []string{"-faults", "storm", "-compare-out", x}, want: 2, stderr: "-compare-out does not apply"},
 		{name: "faults with min-speedup", argv: []string{"-faults", "storm", "-min-speedup", "2"}, want: 2, stderr: "-min-speedup does not apply"},
-		{name: "faults with campaign", argv: []string{"-faults", "storm", "-campaign", "smoke"}, want: 2, stderr: "drop -campaign"},
-		{name: "resilience campaign with faults", argv: []string{"-campaign", "resilience", "-faults", "storm"}, want: 2, stderr: "drop -faults"},
+		{name: "faults with campaign", argv: []string{"-faults", "storm", "-campaign", "smoke"}, want: 2, stderr: "-faults does not apply to the smoke campaign"},
+		{name: "resilience campaign with faults", argv: []string{"-campaign", "resilience", "-faults", "storm"}, want: 2, stderr: "-faults does not apply to the resilience campaign"},
 		{name: "resilience campaign with protocol", argv: []string{"-campaign", "resilience", "-protocol", "tardis"}, want: 2, stderr: "-protocol does not apply"},
 		{name: "resilience non-positive crashes", argv: []string{"-faults", "storm", "-crashes", "0"}, want: 2, stderr: "-crashes must be positive"},
 		{name: "resilience non-positive scale", argv: []string{"-faults", "storm", "-scale", "0"}, want: 2, stderr: "-scale must be positive"},
 		{name: "resilience unknown benchmark", argv: []string{"-faults", "storm", "-bench", "doom"}, want: 2, stderr: "unknown benchmark"},
 		{name: "resilience non-strict system", argv: []string{"-faults", "storm", "-system", "hwrp"}, want: 2, stderr: "strict system"},
-		{name: "resilience unknown campaign", argv: []string{"-faults", "storm", "-campaign", "lunch"}, want: 2, stderr: "drop -campaign lunch"},
+		{name: "resilience unknown campaign", argv: []string{"-faults", "storm", "-campaign", "lunch"}, want: 2, stderr: `unknown campaign "lunch"`},
 		// The retired tsoper-faults point budget; resilience mode takes -crashes.
 		{name: "resilience bad flag", argv: []string{"-faults", "storm", "-points", "5"}, want: 2, stderr: "not defined: -points"},
 		// Retired flag, paired with a 1-point sweep that exits 0 on its own.

@@ -16,9 +16,8 @@
 // backend (slc, mesi, or tardis). The two experiments that compare backends
 // set their own: slccost always runs SLC against MESI, and protocols always
 // sweeps all three. With -protocols-json, protocols also writes the bake-off
-// as a benchjson-style document (CI publishes results/protocols.json);
-// selecting -protocols-json without the protocols experiment is a usage
-// error.
+// as the JSON document committed as results/protocols.json; selecting
+// -protocols-json without the protocols experiment is a usage error.
 //
 // -artifacts DIR additionally writes each experiment's text output to
 // DIR/<exp>.txt so figure data lands in versionable files.
@@ -55,7 +54,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	workers := fs.Int("workers", 0, "simulation worker count (0 = GOMAXPROCS; output does not depend on it)")
 	artifacts := fs.String("artifacts", "", "also write each experiment's output to this directory")
 	protocol := fs.String("protocol", "slc", "coherence protocol for the experiments that do not set their own (slccost and protocols do): slc, mesi, or tardis")
-	protocolsJSON := fs.String("protocols-json", "", "with the protocols experiment, also write the bake-off as benchjson-style JSON to this path")
+	protocolsJSON := fs.String("protocols-json", "", "with the protocols experiment, also write the bake-off JSON (the results/protocols.json format) to this path")
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}

@@ -69,6 +69,11 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
+	if *corpus && *testName != "" {
+		fmt.Fprintln(stderr, "-corpus runs every corpus test and -test runs one; drop one of the two")
+		fs.Usage()
+		return 2
+	}
 
 	if *writeCorpus != "" {
 		return writeCorpusFiles(*writeCorpus, stdout, stderr)

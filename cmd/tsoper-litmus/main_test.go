@@ -27,6 +27,7 @@ func TestExitCodes(t *testing.T) {
 		{name: "unknown protocol", argv: []string{"-protocol", "dragon"}, want: 2, stderr: "unknown coherence protocol"},
 		{name: "unknown crash fault", argv: []string{"-fault", "gremlin"}, want: 2, stderr: "unknown crash fault"},
 		{name: "unknown test", argv: []string{"-test", "zz"}, want: 2, stderr: "unknown corpus test"},
+		{name: "corpus with test", argv: []string{"-corpus", "-test", "mp"}, want: 2, stderr: "drop one of the two"},
 		{name: "list", argv: []string{"-list"}, want: 0},
 		// Retired flags, paired with -list, which exits 0 on its own.
 		{name: "retired scheduler flag", argv: []string{"-scheduler", "both", "-list"}, want: 2, stderr: "not defined: -scheduler"},

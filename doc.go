@@ -3,7 +3,7 @@
 //
 // Import repro/tsoper for the public simulation API; see README.md for the
 // repository tour, DESIGN.md for the architecture and substitution notes,
-// and EXPERIMENTS.md for paper-vs-measured results. The root-level
-// bench_test.go regenerates every figure of the paper's evaluation as Go
-// benchmarks.
+// and EXPERIMENTS.md for paper-vs-measured results. cmd/tsoper-experiments
+// regenerates every table and figure of the paper's evaluation. The root
+// package's own tests are the scheduler and checkpoint equivalence suite.
 package repro

@@ -101,16 +101,16 @@ func (a *ProtocolBakeoffResult) String() string {
 	return b.String()
 }
 
-// protocolBenchResult mirrors cmd/benchjson's entry shape so the bake-off
-// lands in the same results/ tracking format as the benchmarks.
+// protocolBenchResult is one entry of results/protocols.json; that
+// committed file fixes the JSON shape.
 type protocolBenchResult struct {
 	NsPerOp    float64 `json:"ns_per_op"`
 	Iterations int64   `json:"iterations"`
 }
 
-// BenchEntries renders the bake-off as a benchjson-style map keyed
-// Protocols/<bench>/<protocol>, with ns_per_op carrying the simulated drain
-// horizon.
+// BenchEntries renders the bake-off as the map results/protocols.json
+// holds, keyed Protocols/<bench>/<protocol>, with ns_per_op carrying the
+// simulated drain horizon in cycles.
 func (a *ProtocolBakeoffResult) BenchEntries() map[string]protocolBenchResult {
 	out := make(map[string]protocolBenchResult)
 	for _, r := range a.Rows {
@@ -120,7 +120,8 @@ func (a *ProtocolBakeoffResult) BenchEntries() map[string]protocolBenchResult {
 	return out
 }
 
-// WriteBenchJSONFile writes BenchEntries to path, benchjson-compatible.
+// WriteBenchJSONFile writes BenchEntries to path as indented JSON, the
+// format of results/protocols.json.
 func (a *ProtocolBakeoffResult) WriteBenchJSONFile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {

@@ -33,8 +33,9 @@ func TestNoSinkEmissionZeroAlloc(t *testing.T) {
 	}
 }
 
-// The benchmark triple tracked by the CI bench job (results/bench.json):
-// regressions in the no-sink number mean the disabled-telemetry path grew.
+// The telemetry-overhead triple: no sink, a counting sink and a full trace.
+// A slower no-sink number means the disabled-telemetry path grew;
+// TestNoSinkEmissionZeroAlloc gates its allocations.
 
 func benchmarkRun(b *testing.B, mkBus func() *telemetry.Bus) {
 	for i := 0; i < b.N; i++ {
