@@ -30,7 +30,8 @@
 // Sweeps fork each crash point from an incrementally advanced prefix
 // machine. -protocol selects the coherence backend (slc, mesi, or tardis)
 // for the sweep and smoke modes. Each mode reads only the flags in its
-// modeFlags row; setting any other flag is a usage error.
+// modeFlags row; setting any other flag is a usage error, and so is -first
+// or -step with a -strategy other than uniform.
 //
 // Exit status: 0 clean, 1 violations, surviving mutants, stalls or lost
 // persists, 2 usage error.
@@ -134,6 +135,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return usage(fmt.Errorf("-scale must be positive, got %g", *scale))
 	case !ok:
 		return usage(fmt.Errorf("unknown strategy %q (want events, uniform, or random)", *strategy))
+	case strat != crashmc.StrategyUniform && (set["first"] || set["step"]):
+		return usage(fmt.Errorf("-first and -step apply only to -strategy uniform, not %s", *strategy))
 	case perr != nil:
 		return usage(perr)
 	}

@@ -45,6 +45,9 @@ func TestExitCodes(t *testing.T) {
 		{name: "mutation with scale", argv: []string{"-campaign", "mutation", "-scale", "0.1"}, want: 2, stderr: "-scale does not apply to the mutation campaign"},
 		{name: "mutation with protocol", argv: []string{"-campaign", "mutation", "-protocol", "tardis"}, want: 2, stderr: "-protocol does not apply to the mutation campaign"},
 		{name: "program with scale", argv: []string{"-program", "producer-consumer-ring", "-scale", "0.1"}, want: 2, stderr: "-scale does not apply to the program sweep"},
+		// -first and -step place only uniform crash points.
+		{name: "events with step", argv: []string{"-strategy", "events", "-step", "100", "-crashes", "1", "-scale", "0.05"}, want: 2, stderr: "apply only to -strategy uniform"},
+		{name: "random with first", argv: []string{"-strategy", "random", "-first", "9999", "-crashes", "1", "-scale", "0.05"}, want: 2, stderr: "apply only to -strategy uniform"},
 		// Resilience mode: -faults or -campaign resilience.
 		{name: "unknown fault preset", argv: []string{"-faults", "blizzard"}, want: 2, stderr: "unknown fault preset"},
 		{name: "faults with program", argv: []string{"-faults", "storm", "-program", "producer-consumer-ring"}, want: 2, stderr: "-program does not apply"},

@@ -19,6 +19,11 @@
 //	    inject a persistency fault and shrink the failing reproduction
 //	tsoper-litmus -write-corpus internal/litmus/corpus
 //	    regenerate the golden corpus files from the reference model
+//	tsoper-litmus -list
+//	    list the corpus tests
+//
+// Each mode reads only the flags in its modeFlags row; setting any other
+// flag is a usage error.
 //
 // Exit status: 0 clean, 1 violations/surviving mutants, 2 usage error.
 package main
@@ -30,6 +35,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/faultplan"
@@ -45,6 +51,15 @@ func main() {
 // defaultPresets are the fault presets the corpus gate sweeps.
 const defaultPresets = "nvm-transient,noc-lossy"
 
+// modeFlags lists, for each mode, the flags it reads. run rejects any set
+// flag outside the selected mode's row, so no mode ignores a flag silently.
+var modeFlags = map[string][]string{
+	"corpus listing":  {"list"},
+	"corpus rewrite":  {"write-corpus"},
+	"corpus gate":     {"corpus", "faults", "fault", "no-mutation", "shrink", "budget", "protocol", "json"},
+	"single-test run": {"test", "faults", "fault", "shrink", "budget", "protocol", "json"},
+}
+
 func run(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tsoper-litmus", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -54,7 +69,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		list        = fs.Bool("list", false, "list the corpus tests")
 		faults      = fs.String("faults", defaultPresets, "comma-separated fault presets to gate under (\"none\" disables)")
 		fault       = fs.String("fault", "", "inject a persistency CrashFault into every recovered state (mutation debugging)")
-		noMutation  = fs.Bool("no-mutation", false, "with -corpus: skip oracle mutation testing (a -test run has none)")
+		noMutation  = fs.Bool("no-mutation", false, "skip the corpus gate's oracle mutation testing")
 		shrink      = fs.Bool("shrink", false, "minimize a failing test before reporting it")
 		budget      = fs.Int("budget", 0, "crash points per perturbation (0 = default)")
 		protocol    = fs.String("protocol", "slc", "coherence protocol: slc, mesi, or tardis")
@@ -71,6 +86,26 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 	if *corpus && *testName != "" {
 		fmt.Fprintln(stderr, "-corpus runs every corpus test and -test runs one; drop one of the two")
+		fs.Usage()
+		return 2
+	}
+	mode := "corpus gate"
+	switch {
+	case *writeCorpus != "":
+		mode = "corpus rewrite"
+	case *list:
+		mode = "corpus listing"
+	case *testName != "":
+		mode = "single-test run"
+	}
+	var stray string
+	fs.Visit(func(f *flag.Flag) {
+		if stray == "" && !slices.Contains(modeFlags[mode], f.Name) {
+			stray = f.Name
+		}
+	})
+	if stray != "" {
+		fmt.Fprintf(stderr, "-%s does not apply to the %s\n", stray, mode)
 		fs.Usage()
 		return 2
 	}

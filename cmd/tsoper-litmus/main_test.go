@@ -14,6 +14,10 @@ import (
 // TestExitCodes pins the CLI contract: 0 clean, 1 conformance violations or
 // surviving mutants, 2 usage errors.
 func TestExitCodes(t *testing.T) {
+	// Paths for the cases that name an output: a usage error must exit
+	// before writing anything.
+	dir := t.TempDir()
+	x, y := filepath.Join(dir, "x.json"), filepath.Join(dir, "y.json")
 	cases := []struct {
 		name   string
 		argv   []string
@@ -32,19 +36,25 @@ func TestExitCodes(t *testing.T) {
 		// Retired flags, paired with -list, which exits 0 on its own.
 		{name: "retired scheduler flag", argv: []string{"-scheduler", "both", "-list"}, want: 2, stderr: "not defined: -scheduler"},
 		{name: "retired mutation flag", argv: []string{"-mutation", "-list"}, want: 2, stderr: "not defined: -mutation"},
+		// Each mode rejects the flags it does not read (modeFlags).
+		{name: "list with test", argv: []string{"-list", "-test", "mp"}, want: 2, stderr: "-test does not apply to the corpus listing"},
+		{name: "list with fault and json", argv: []string{"-list", "-fault", "torn-group", "-json", x}, want: 2, stderr: "does not apply to the corpus listing"},
+		{name: "list with faults", argv: []string{"-list", "-faults", "blizzard"}, want: 2, stderr: "-faults does not apply to the corpus listing"},
+		{name: "write-corpus with test and json", argv: []string{"-write-corpus", filepath.Join(dir, "corpus"), "-test", "mp", "-json", y}, want: 2, stderr: "does not apply to the corpus rewrite"},
+		{name: "test with no-mutation", argv: []string{"-test", "mp", "-no-mutation", "-faults", "none"}, want: 2, stderr: "-no-mutation does not apply to the single-test run"},
 		{
 			name: "single test conforms",
-			argv: []string{"-test", "mp", "-faults", "none", "-no-mutation"},
+			argv: []string{"-test", "mp", "-faults", "none"},
 			want: 0, slow: true,
 		},
 		{
 			name: "single test conforms on tardis",
-			argv: []string{"-test", "mp", "-faults", "none", "-no-mutation", "-protocol", "tardis"},
+			argv: []string{"-test", "mp", "-faults", "none", "-protocol", "tardis"},
 			want: 0, slow: true,
 		},
 		{
 			name: "injected fault fails",
-			argv: []string{"-test", "epoch-atomic", "-faults", "none", "-fault", "torn-group", "-no-mutation"},
+			argv: []string{"-test", "epoch-atomic", "-faults", "none", "-fault", "torn-group"},
 			want: 1, slow: true, stderr: "violation",
 		},
 	}
@@ -75,7 +85,7 @@ func TestJSONReport(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "litmus.json")
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-test", "sb", "-faults", "none", "-no-mutation", "-json", path},
+	code := run([]string{"-test", "sb", "-faults", "none", "-json", path},
 		&stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit %d\nstderr: %s", code, stderr.String())

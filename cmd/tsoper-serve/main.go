@@ -10,7 +10,7 @@
 //	curl -s localhost:7433/v1/jobs -d '{"bench":"radix","system":"tsoper"}'
 //	curl -s localhost:7433/v1/jobs -d '{"program":{...},"system":"tsoper"}'
 //
-// or drive it with tsoper-load. Program jobs (PROGRAMS.md) are
+// or from Go with internal/service/client. Program jobs (PROGRAMS.md) are
 // cost-estimated before admission — over-budget programs are rejected with
 // 429 carrying the estimate — and cached under the program's canonical
 // hash. SIGTERM/SIGINT drain gracefully: admission stops, queued and
@@ -92,6 +92,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	})
 	srv.Start()
 
+	// Install the handler before the listener opens, so a signal sent once
+	// /healthz answers always drains instead of killing the process.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
+	defer signal.Stop(sigCh)
+
 	httpSrv := &http.Server{Addr: *addr, Handler: srv}
 	errCh := make(chan error, 1)
 	go func() {
@@ -99,9 +105,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		errCh <- httpSrv.ListenAndServe()
 	}()
 
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
-	defer signal.Stop(sigCh)
 	select {
 	case sig := <-sigCh:
 		log.Printf("%s: draining (queue depth %d)", sig, srv.Metrics().QueueDepth)

@@ -15,7 +15,8 @@
 // estimate without simulating. -trace-out writes a Perfetto-compatible
 // timeline (open it in ui.perfetto.dev); -metrics-out writes the unified
 // metrics snapshot; -metrics-diff compares two snapshots without running
-// anything.
+// anything. Each mode reads only the flags in its modeFlags row; setting
+// any other flag is a usage error.
 //
 // Systems: baseline, hw-rp, bsp, bsp+slc, bsp+slc+agb, stw, tsoper.
 // Protocols (-protocol): slc (default), mesi, tardis.
@@ -30,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"repro/internal/telemetry"
 	"repro/tsoper"
@@ -39,11 +41,21 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// modeFlags lists, for each mode, the flags it reads. run rejects any set
+// flag outside the selected mode's row, so no mode ignores a flag silently.
+var modeFlags = map[string][]string{
+	"listing":       {"list"},
+	"metrics diff":  {"metrics-diff"},
+	"cost estimate": {"estimate", "program", "system"},
+	"program run":   {"program", "system", "seed", "protocol", "stats", "trace-out", "metrics-out"},
+	"benchmark run": {"bench", "system", "scale", "seed", "protocol", "stats", "trace-out", "metrics-out"},
+}
+
 func run(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tsoper-sim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	bench := fs.String("bench", "radix", "benchmark name")
-	progArg := fs.String("program", "", "run a workload program: a library name or a JSON file (overrides -bench)")
+	progArg := fs.String("program", "", "run a workload program instead of a benchmark: a library name or a JSON file")
 	estimate := fs.Bool("estimate", false, "print the program's cost estimate and exit without simulating (requires -program)")
 	system := fs.String("system", "tsoper", "persistency system")
 	scale := fs.Float64("scale", 1.0, "workload scale factor")
@@ -66,11 +78,31 @@ func run(argv []string, stdout, stderr io.Writer) int {
 
 	// Usage validation, mirroring tsoper-crash: malformed invocations exit
 	// 2 before any work happens.
-	if *scale <= 0 {
-		return usageErr("-scale must be positive, got %g", *scale)
-	}
 	if *estimate && *progArg == "" {
 		return usageErr("-estimate requires -program")
+	}
+	mode := "benchmark run"
+	switch {
+	case *metricsDiff:
+		mode = "metrics diff"
+	case *list:
+		mode = "listing"
+	case *estimate:
+		mode = "cost estimate"
+	case *progArg != "":
+		mode = "program run"
+	}
+	var stray string
+	fs.Visit(func(f *flag.Flag) {
+		if stray == "" && !slices.Contains(modeFlags[mode], f.Name) {
+			stray = f.Name
+		}
+	})
+	if stray != "" {
+		return usageErr("-%s does not apply to the %s", stray, mode)
+	}
+	if *scale <= 0 {
+		return usageErr("-scale must be positive, got %g", *scale)
 	}
 	proto, err := tsoper.ParseProtocol(*protoFlag)
 	if err != nil {

@@ -10,6 +10,10 @@ import (
 
 // TestExitCodes pins the CLI contract: 0 clean, 1 runtime failure, 2 usage.
 func TestExitCodes(t *testing.T) {
+	// Paths for the cases that name an output: a usage error must exit
+	// before writing anything.
+	dir := t.TempDir()
+	m, tr := filepath.Join(dir, "m.json"), filepath.Join(dir, "t.json")
 	cases := []struct {
 		name   string
 		argv   []string
@@ -35,6 +39,15 @@ func TestExitCodes(t *testing.T) {
 		{name: "retired checkpoint-every flag", argv: []string{"-checkpoint-every", "5000", "-list"}, want: 2, stderr: "not defined: -checkpoint-every"},
 		{name: "retired checkpoint-out flag", argv: []string{"-checkpoint-out", "x.ckpt", "-list"}, want: 2, stderr: "not defined: -checkpoint-out"},
 		{name: "retired resume flag", argv: []string{"-resume", "x.ckpt", "-list"}, want: 2, stderr: "not defined: -resume"},
+		// Each mode rejects the flags it does not read (modeFlags).
+		{name: "program with scale", argv: []string{"-program", "producer-consumer-ring", "-scale", "0.1"}, want: 2, stderr: "-scale does not apply to the program run"},
+		{name: "program with bench", argv: []string{"-bench", "fft", "-program", "producer-consumer-ring"}, want: 2, stderr: "-bench does not apply to the program run"},
+		{
+			name: "estimate with run flags",
+			argv: []string{"-program", "producer-consumer-ring", "-estimate", "-seed", "7", "-protocol", "tardis", "-metrics-out", m, "-trace-out", tr, "-stats"},
+			want: 2, stderr: "does not apply to the cost estimate",
+		},
+		{name: "list with bench and system", argv: []string{"-list", "-bench", "nonsense", "-system", "nonsense"}, want: 2, stderr: "-bench does not apply to the listing"},
 		{name: "estimate library program", argv: []string{"-program", "producer-consumer-ring", "-estimate"}, want: 0, stdout: "ops"},
 		{
 			name: "clean bench run",

@@ -1,7 +1,7 @@
 // Package client is the typed Go client for a tsoper-serve instance: the
-// load generator, the CI smoke test, and any program that wants simulation
-// results without running simulations locally speak this package instead of
-// raw HTTP.
+// service tests, tsoper-serve's smoke test, tsoper-bench's service_jobs
+// workload, and any program that wants simulation results without running
+// simulations locally speak this package instead of raw HTTP.
 package client
 
 import (
@@ -49,9 +49,6 @@ type APIError struct {
 	Message    string
 	Body       []byte
 	RetryAfter time.Duration
-	// hasRetryAfter distinguishes "Retry-After: 0" from no header at all;
-	// only the former is retried (see retryWait).
-	hasRetryAfter bool
 }
 
 func (e *APIError) Error() string {
@@ -106,7 +103,6 @@ func newAPIError(resp *http.Response, raw []byte) *APIError {
 	if s := resp.Header.Get("Retry-After"); s != "" {
 		if secs, err := strconv.Atoi(s); err == nil {
 			apiErr.RetryAfter = time.Duration(secs) * time.Second
-			apiErr.hasRetryAfter = true
 		}
 	}
 	return apiErr
@@ -163,54 +159,18 @@ func (c *Client) Cancel(ctx context.Context, id string) (service.JobStatus, erro
 	return st, err
 }
 
-// Wait polls until the job reaches a terminal state, then returns it. Any
-// poll error — including 404 for a job record that no longer exists —
-// surfaces immediately.
-func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (service.JobStatus, error) {
-	if poll <= 0 {
-		poll = 25 * time.Millisecond
-	}
-	ticker := time.NewTicker(poll)
-	defer ticker.Stop()
-	for {
-		st, err := c.Status(ctx, id)
-		if err != nil {
-			return st, err
-		}
-		switch st.State {
-		case "done", "failed", "canceled":
-			return st, nil
-		}
-		select {
-		case <-ticker.C:
-		case <-ctx.Done():
-			return st, ctx.Err()
-		}
-	}
-}
-
-// Run is submit-wait-result in one call. A submission the server rejects
-// as transient (queue full, draining) is resubmitted after the server's
-// Retry-After, up to maxAttempts submissions in all; every other error —
-// a bad spec, an over-budget program, a failed simulation — surfaces
-// unchanged on first sight.
+// Run is submit-events-result in one call: it submits spec, follows the
+// job's event stream to its terminal state unless the submission was
+// already a cache hit, and fetches the result bytes. Every error — a
+// rejected submission, a broken stream, a failed or canceled job — surfaces
+// the first time it occurs; nothing is resubmitted.
 func (c *Client) Run(ctx context.Context, spec service.JobSpec) ([]byte, service.JobStatus, error) {
 	st, err := c.Submit(ctx, spec)
-	for attempt := 1; err != nil && attempt < maxAttempts; attempt++ {
-		wait, ok := retryWait(err)
-		if !ok {
-			break
-		}
-		if serr := sleepCtx(ctx, wait); serr != nil {
-			return nil, st, serr
-		}
-		st, err = c.Submit(ctx, spec)
-	}
 	if err != nil {
 		return nil, st, err
 	}
 	if st.State != "done" {
-		if st, err = c.Wait(ctx, st.ID, 0); err != nil {
+		if st, err = c.Events(ctx, st.ID, nil); err != nil {
 			return nil, st, err
 		}
 	}

@@ -118,42 +118,40 @@ func TestAPIErrorDecoding(t *testing.T) {
 	})
 }
 
-// TestWaitContextCancellation: a job that never terminates must not pin the
-// caller — canceling the context unblocks Wait with ctx.Err().
-func TestWaitContextCancellation(t *testing.T) {
+// TestEventsContextCancellation: a job that never terminates must not pin
+// the caller — canceling the context ends a stream that is still carrying
+// progress, and Events returns an error matching context.Canceled.
+func TestEventsContextCancellation(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(service.JobStatus{ID: "j1", State: "running"})
+		w.Header().Set("Content-Type", "text/event-stream")
+		tick := time.NewTicker(5 * time.Millisecond)
+		defer tick.Stop()
+		for events := 1; ; events++ {
+			fmt.Fprintf(w, "event: progress\ndata: {\"events\":%d}\n\n", events)
+			w.(http.Flusher).Flush()
+			select {
+			case <-tick.C:
+			case <-r.Context().Done():
+				return
+			}
+		}
 	}))
 	defer srv.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
+	defer cancel()
+	var samples int
 	c := New(srv.URL, nil)
-	st, err := c.Wait(ctx, "j1", 10*time.Millisecond)
+	st, err := c.Events(ctx, "j1", func(telemetry.Progress) {
+		if samples++; samples == 3 {
+			cancel()
+		}
+	})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Wait err = %v, want context.Canceled", err)
+		t.Fatalf("Events err = %v, want context.Canceled", err)
 	}
-	if st.State == "done" || st.State == "failed" {
-		t.Errorf("canceled Wait reported a terminal state: %+v", st)
-	}
-}
-
-// TestWaitStatusError: a failing status poll surfaces immediately.
-func TestWaitStatusError(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusNotFound)
-		fmt.Fprint(w, `{"error":"no such job"}`)
-	}))
-	defer srv.Close()
-
-	c := New(srv.URL, nil)
-	_, err := c.Wait(context.Background(), "gone", time.Millisecond)
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound {
-		t.Fatalf("want 404 *APIError, got %v", err)
+	if st.State != "" {
+		t.Errorf("canceled Events reported a state: %+v", st)
 	}
 }
 
@@ -267,43 +265,5 @@ func TestEventsNon200(t *testing.T) {
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound {
 		t.Fatalf("want 404 *APIError, got %v", err)
-	}
-}
-
-// TestRunSubmitRetries429: Run must honor Retry-After and resubmit, then
-// complete once the queue opens up.
-func TestRunSubmitRetries429(t *testing.T) {
-	var submits int
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case r.Method == http.MethodPost:
-			submits++
-			if submits == 1 {
-				w.Header().Set("Retry-After", "0")
-				w.WriteHeader(http.StatusTooManyRequests)
-				fmt.Fprint(w, `{"error":"queue full"}`)
-				return
-			}
-			json.NewEncoder(w).Encode(service.JobStatus{ID: "j1", State: "done"})
-		case strings.HasSuffix(r.URL.Path, "/result"):
-			fmt.Fprint(w, `{"system":"tsoper"}`)
-		default:
-			json.NewEncoder(w).Encode(service.JobStatus{ID: "j1", State: "done"})
-		}
-	}))
-	defer srv.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	c := New(srv.URL, nil)
-	body, st, err := c.Run(ctx, service.JobSpec{Bench: "radix", System: "tsoper"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if submits != 2 {
-		t.Errorf("submits = %d, want 2 (one 429, one accept)", submits)
-	}
-	if st.State != "done" || string(body) != `{"system":"tsoper"}` {
-		t.Errorf("st=%+v body=%s", st, body)
 	}
 }

@@ -84,8 +84,8 @@ func (h *httpHandler) submit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusTooManyRequests, "queue full (%d jobs)", h.s.queue.Cap())
 	case outcomeOverBudget:
 		// Unlike queue-full, this is not transient: the same program will be
-		// rejected again, so no Retry-After — the client does not retry, and
-		// the body carries the estimate so the program can be right-sized.
+		// rejected again, so no Retry-After, and the body carries the
+		// estimate so the program can be right-sized.
 		writeJSON(w, http.StatusTooManyRequests, overBudgetResponse{
 			Error:    fmt.Sprintf("program estimated at %d trace ops, over the %d-op admission budget", j.plan.est.Ops, h.s.cfg.MaxProgramOps),
 			Estimate: j.plan.est,

@@ -45,18 +45,16 @@ type Config struct {
 	// in simulation cycles (default machine.DefaultWatchdogHorizon), so no
 	// wedged simulation can hold a worker forever.
 	JobTimeout sim.Time
-	// ProgressStride is the telemetry-event sampling period for SSE
-	// progress (default telemetry.DefaultProgressStride).
-	ProgressStride int
-	// RetainDone caps retained terminal job records (default 4096); the
-	// oldest are forgotten first. Results live on in the cache.
-	RetainDone int
 	// MaxProgramOps is the admission budget for program jobs: a program
 	// whose up-front cost estimate exceeds this many trace ops is rejected
 	// with 429 before it can occupy a worker (default 4Mi ops, roughly 80×
 	// a full-scale profile job).
 	MaxProgramOps int
 }
+
+// retainDone caps retained terminal job records; the oldest are forgotten
+// first. Results live on in the cache.
+const retainDone = 4096
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -70,12 +68,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.JobTimeout <= 0 {
 		c.JobTimeout = machine.DefaultWatchdogHorizon
-	}
-	if c.ProgressStride <= 0 {
-		c.ProgressStride = telemetry.DefaultProgressStride
-	}
-	if c.RetainDone <= 0 {
-		c.RetainDone = 4096
 	}
 	if c.MaxProgramOps <= 0 {
 		c.MaxProgramOps = 4 << 20
@@ -244,7 +236,7 @@ func (s *Server) newJobLocked(spec JobSpec, p plan) *job {
 // retention cap, bounding the registry for long-lived servers.
 func (s *Server) retainLocked(j *job) {
 	s.doneIDs = append(s.doneIDs, j.id)
-	for len(s.doneIDs) > s.cfg.RetainDone {
+	for len(s.doneIDs) > retainDone {
 		delete(s.jobs, s.doneIDs[0])
 		s.doneIDs = s.doneIDs[1:]
 	}
@@ -303,7 +295,7 @@ func (s *Server) runJob(j *job) {
 
 	// Each run gets its own bus (track handles are machine-local) carrying
 	// a progress sink that fans out to the job's SSE subscribers.
-	sink := telemetry.NewProgressSink(s.cfg.ProgressStride, func(p telemetry.Progress) {
+	sink := telemetry.NewProgressSink(telemetry.DefaultProgressStride, func(p telemetry.Progress) {
 		s.publishProgress(j, p)
 	})
 	cfg := j.plan.cfg

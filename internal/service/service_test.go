@@ -112,7 +112,7 @@ func TestInflightDedup(t *testing.T) {
 	}
 
 	srv.Start()
-	if _, err := c.Wait(ctx, first.ID, 0); err != nil {
+	if _, err := c.Events(ctx, first.ID, nil); err != nil {
 		t.Fatal(err)
 	}
 	ctxD, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -194,7 +194,7 @@ func TestCancel(t *testing.T) {
 func TestEventsStream(t *testing.T) {
 	// Workers start only after the stream is connected, so the subscriber
 	// observes the run from its first sample.
-	srv := service.New(service.Config{Workers: 1, QueueDepth: 8, ProgressStride: 100})
+	srv := service.New(service.Config{Workers: 1, QueueDepth: 8})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	c := client.New(ts.URL, ts.Client())
@@ -236,7 +236,7 @@ func TestEventsStream(t *testing.T) {
 		t.Fatalf("got %d state events, want 1", state)
 	}
 	if progress == 0 {
-		t.Fatal("no progress events at stride 500")
+		t.Fatal("no progress events: the final sample is always delivered")
 	}
 }
 
@@ -402,8 +402,8 @@ func TestJobGauges(t *testing.T) {
 		t.Error("gauges never showed in-flight work for a 4-deep backlog")
 	}
 	for _, id := range ids {
-		if _, err := c.Wait(ctx, id, 5*time.Millisecond); err != nil {
-			t.Fatalf("wait %s: %v", id, err)
+		if _, err := c.Events(ctx, id, nil); err != nil {
+			t.Fatalf("events %s: %v", id, err)
 		}
 	}
 	// Terminal states must return both gauges to zero.
