@@ -23,22 +23,19 @@
 //	    stay silent, and the checker must accept every recovered state
 //	tsoper-crash -campaign resilience -parallel 4 -json results/faults.json
 //	    the CI resilience campaign: two adversaries x tsoper x every preset
-//	tsoper-crash -compare-out results/fork-vs-replay.json -crashes 40
-//	    time the pressure campaign under prefix-forked vs full-replay
-//	    execution, prove the reports identical, write the comparison
 //
-// Sweeps fork each crash point from an incrementally advanced prefix
-// machine. -protocol selects the coherence backend (slc, mesi, or tardis)
-// for the sweep and smoke modes. Each mode reads only the flags in its
-// modeFlags row; setting any other flag is a usage error, and so is -first
-// or -step with a -strategy other than uniform.
+// The sweep and smoke modes crash at harvested persistency-transition
+// cycles, topped up with seeded random cycles, and fork each crash point
+// from an incrementally advanced prefix machine. -protocol selects the
+// coherence backend (slc, mesi, or tardis) for those modes. Each mode reads
+// only the flags in its modeFlags row; setting any other flag, or passing a
+// positional argument, is a usage error.
 //
 // Exit status: 0 clean, 1 violations, surviving mutants, stalls or lost
 // persists, 2 usage error.
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -46,7 +43,6 @@ import (
 	"os"
 	"slices"
 	"strings"
-	"time"
 
 	"repro/internal/crashmc"
 	"repro/internal/faultplan"
@@ -77,11 +73,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	progFlag := fs.String("program", "", "comma-separated library programs (or JSON files) to crash-sweep instead of -bench")
 	system := fs.String("system", "tsoper", "comma-separated strict systems: tsoper, stw")
 	crashes := fs.Int("crashes", 40, "crash points per benchmark x system tuple, or per resilience cell (> 0; smoke defaults to 50, resilience to 10)")
-	step := fs.Uint64("step", 1500, "cycles between uniform crash points (> 0)")
-	first := fs.Uint64("first", 500, "first uniform crash cycle (> 0)")
 	scale := fs.Float64("scale", 0.3, "workload scale factor (> 0)")
 	seed := fs.Int64("seed", 42, "workload seed")
-	strategy := fs.String("strategy", "uniform", "crash-point strategy: events, uniform, random")
 	protoFlag := fs.String("protocol", "slc", "coherence protocol: slc, mesi, or tardis")
 	campaign := fs.String("campaign", "", "predefined campaign on its own grid: smoke, mutation, or resilience")
 	faults := fs.String("faults", "", "comma-separated fault presets to run the resilience campaign under, over the -bench x -system grid: "+
@@ -89,8 +82,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	parallel := fs.Int("parallel", 0, "worker count (0 = GOMAXPROCS)")
 	jsonPath := fs.String("json", "", "write the campaign report to this path as JSON")
 	shrink := fs.Bool("shrink", false, "minimize each failing crash point before reporting it")
-	compareOut := fs.String("compare-out", "", "time prefix-forked vs full-replay sweeps on the pressure config, write the comparison JSON here, and exit")
-	minSpeedup := fs.Float64("min-speedup", 0, "with -compare-out, fail unless prefix forking is at least this many times faster")
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
@@ -99,7 +90,10 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	mode, err := selectMode(*campaign, *faults, *compareOut, *progFlag)
+	if fs.NArg() > 0 {
+		return usage(fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " ")))
+	}
+	mode, err := selectMode(*campaign, *faults, *progFlag)
 	if err != nil {
 		return usage(err)
 	}
@@ -122,21 +116,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			*crashes = 50 // x 2 adversaries x 2 systems = 200 injections
 		}
 	}
-	strat, ok := crashmc.ParseStrategy(*strategy)
 	proto, perr := tsoper.ParseProtocol(*protoFlag)
 	switch {
 	case *crashes <= 0:
 		return usage(fmt.Errorf("-crashes must be positive, got %d", *crashes))
-	case *step == 0:
-		return usage(errors.New("-step must be positive"))
-	case *first == 0:
-		return usage(errors.New("-first must be positive"))
 	case *scale <= 0:
 		return usage(fmt.Errorf("-scale must be positive, got %g", *scale))
-	case !ok:
-		return usage(fmt.Errorf("unknown strategy %q (want events, uniform, or random)", *strategy))
-	case strat != crashmc.StrategyUniform && (set["first"] || set["step"]):
-		return usage(fmt.Errorf("-first and -step apply only to -strategy uniform, not %s", *strategy))
 	case perr != nil:
 		return usage(perr)
 	}
@@ -149,12 +134,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			return usage(err)
 		}
 		return runResilience(stdout, stderr, spec, *jsonPath)
-	case "fork-vs-replay comparison":
-		if err := runCompare(stdout, *compareOut, *seed, *crashes, *parallel, *minSpeedup); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		return 0
 	case "smoke campaign":
 		report, err = crashmc.Run(crashmc.Spec{
 			Name:       "smoke",
@@ -162,7 +141,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			Systems:    []machine.SystemKind{machine.TSOPER, machine.STW},
 			Seed:       *seed,
 			Points:     *crashes,
-			Strategy:   crashmc.StrategyEvents,
 			Parallel:   *parallel,
 			Shrink:     *shrink,
 			Coherence:  proto,
@@ -173,8 +151,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	case "mutation campaign":
 		report, err = runMutation(*seed, *crashes)
 	default:
-		report, err = runSweep(stdout, *bench, *progFlag, *system, proto, *crashes, *first, *step,
-			*scale, *seed, strat, *parallel, *shrink)
+		report, err = runSweep(stdout, *bench, *progFlag, *system, proto, *crashes,
+			*scale, *seed, *parallel, *shrink)
 	}
 	var uerr usageError
 	if errors.As(err, &uerr) {
@@ -216,18 +194,17 @@ func run(argv []string, stdout, stderr io.Writer) int {
 // modeFlags lists, for each mode, the flags it reads. run rejects any set
 // flag outside the selected mode's row, so no mode ignores a flag silently.
 var modeFlags = map[string][]string{
-	"sweep":                     {"bench", "system", "crashes", "first", "step", "scale", "seed", "strategy", "protocol", "parallel", "json", "shrink"},
-	"program sweep":             {"program", "system", "crashes", "first", "step", "seed", "strategy", "protocol", "parallel", "json", "shrink"},
-	"smoke campaign":            {"campaign", "crashes", "seed", "protocol", "parallel", "json", "shrink"},
-	"mutation campaign":         {"campaign", "crashes", "seed", "json"},
-	"resilience sweep":          {"faults", "bench", "system", "crashes", "scale", "seed", "parallel", "json"},
-	"resilience campaign":       {"campaign", "crashes", "scale", "seed", "parallel", "json"},
-	"fork-vs-replay comparison": {"compare-out", "crashes", "seed", "parallel", "min-speedup"},
+	"sweep":               {"bench", "system", "crashes", "scale", "seed", "protocol", "parallel", "json", "shrink"},
+	"program sweep":       {"program", "system", "crashes", "seed", "protocol", "parallel", "json", "shrink"},
+	"smoke campaign":      {"campaign", "crashes", "seed", "protocol", "parallel", "json", "shrink"},
+	"mutation campaign":   {"campaign", "crashes", "seed", "json"},
+	"resilience sweep":    {"faults", "bench", "system", "crashes", "scale", "seed", "parallel", "json"},
+	"resilience campaign": {"campaign", "crashes", "scale", "seed", "parallel", "json"},
 }
 
 // selectMode names the mode the flags select, in precedence order:
-// -campaign, -faults, -compare-out, -program, else the benchmark sweep.
-func selectMode(campaign, faults, compareOut, programs string) (string, error) {
+// -campaign, -faults, -program, else the benchmark sweep.
+func selectMode(campaign, faults, programs string) (string, error) {
 	switch {
 	case campaign == "smoke", campaign == "mutation", campaign == "resilience":
 		return campaign + " campaign", nil
@@ -235,8 +212,6 @@ func selectMode(campaign, faults, compareOut, programs string) (string, error) {
 		return "", usagef("unknown campaign %q (want smoke, mutation, or resilience)", campaign)
 	case faults != "":
 		return "resilience sweep", nil
-	case compareOut != "":
-		return "fork-vs-replay comparison", nil
 	case programs != "":
 		return "program sweep", nil
 	}
@@ -280,7 +255,7 @@ func parseSystems(names string) ([]machine.SystemKind, error) {
 // runSweep is the legacy single-cell mode, generalized to comma-separated
 // benchmark/system lists (or workload-VM programs), with the
 // per-crash-point output lines preserved.
-func runSweep(stdout io.Writer, benches, programs, systems string, proto tsoper.Protocol, crashes int, first, step uint64, scale float64, seed int64, strat crashmc.Strategy, parallel int, shrink bool) (*crashmc.Report, error) {
+func runSweep(stdout io.Writer, benches, programs, systems string, proto tsoper.Protocol, crashes int, scale float64, seed int64, parallel int, shrink bool) (*crashmc.Report, error) {
 	var profiles []trace.Profile
 	var progs []*program.Program
 	if programs != "" {
@@ -309,9 +284,6 @@ func runSweep(stdout io.Writer, benches, programs, systems string, proto tsoper.
 		Scale:      scale,
 		Seed:       seed,
 		Points:     crashes,
-		Strategy:   strat,
-		First:      first,
-		Step:       step,
 		Parallel:   parallel,
 		Shrink:     shrink,
 		Detail:     true,
@@ -392,114 +364,16 @@ func runResilience(stdout, stderr io.Writer, spec crashmc.ResilienceSpec, jsonPa
 	return 0
 }
 
-// compareDoc is the results/fork-vs-replay.json artifact: the same pressure
-// sweep timed under both execution modes, with proof they agreed.
-type compareDoc struct {
-	Name               string  `json:"name"`
-	Seed               int64   `json:"seed"`
-	Points             int     `json:"points"`
-	Tuples             int     `json:"tuples"`
-	Injections         int     `json:"injections"`
-	PrefixForkSeconds  float64 `json:"prefix_fork_seconds"`
-	FullReplaySeconds  float64 `json:"full_replay_seconds"`
-	Speedup            float64 `json:"speedup"`
-	ReportsIdentical   bool    `json:"reports_identical"`
-	ViolationsObserved int     `json:"violations_observed"`
-}
-
-// runCompare times the adversarial pressure campaign in both execution
-// modes — prefix-forked (the default) and full-replay (one machine per
-// crash point, from cycle 0) — verifies the two reports are byte-identical,
-// and writes the timing document. This is the evidence behind the claim
-// that forking prefix machines beats replaying, published by CI as
-// results/fork-vs-replay.json.
-func runCompare(stdout io.Writer, outPath string, seed int64, points, parallel int, minSpeedup float64) error {
-	spec := crashmc.Spec{
-		Name:       "checkpoint-compare",
-		Benchmarks: crashmc.Adversaries(),
-		Systems:    []machine.SystemKind{machine.TSOPER, machine.STW},
-		Seed:       seed,
-		Points:     points,
-		Strategy:   crashmc.StrategyEvents,
-		Parallel:   parallel,
-		Detail:     true,
-		Config:     crashmc.PressureConfig,
-	}
-
-	start := time.Now()
-	fast, err := crashmc.Run(spec)
-	if err != nil {
-		return err
-	}
-	fastDur := time.Since(start)
-
-	spec.FullReplay = true
-	start = time.Now()
-	slow, err := crashmc.Run(spec)
-	if err != nil {
-		return err
-	}
-	slowDur := time.Since(start)
-
-	fastJSON, err := json.Marshal(fast)
-	if err != nil {
-		return err
-	}
-	slowJSON, err := json.Marshal(slow)
-	if err != nil {
-		return err
-	}
-	doc := compareDoc{
-		Name:               spec.Name,
-		Seed:               seed,
-		Points:             points,
-		Tuples:             len(spec.Benchmarks) * len(spec.Systems),
-		Injections:         fast.Injections,
-		PrefixForkSeconds:  fastDur.Seconds(),
-		FullReplaySeconds:  slowDur.Seconds(),
-		Speedup:            slowDur.Seconds() / fastDur.Seconds(),
-		ReportsIdentical:   string(fastJSON) == string(slowJSON),
-		ViolationsObserved: len(fast.Violations),
-	}
-	body, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(body, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "prefix-fork %.2fs vs full-replay %.2fs (%.1fx) over %d injections -> %s\n",
-		doc.PrefixForkSeconds, doc.FullReplaySeconds, doc.Speedup, doc.Injections, outPath)
-	if !doc.ReportsIdentical {
-		return fmt.Errorf("prefix-forked and full-replay reports differ — the differential gate failed")
-	}
-	if !fast.Clean() {
-		return fmt.Errorf("pressure campaign found %d violations", len(fast.Violations))
-	}
-	if minSpeedup > 0 && doc.Speedup < minSpeedup {
-		return fmt.Errorf("speedup %.2fx below required %.2fx", doc.Speedup, minSpeedup)
-	}
-	return nil
-}
-
 // runMutation proves every injected persistency fault is killed, on both
 // strict systems, using event-harvested crash points walked newest-first.
 func runMutation(seed int64, budget int) (*crashmc.Report, error) {
-	report := &crashmc.Report{Name: "mutation", Seed: seed, Scale: 1, Strategy: crashmc.StrategyEvents.String()}
+	report := &crashmc.Report{Name: "mutation", Seed: seed, Scale: 1, Strategy: "events"}
 	var firstErr error
 	for _, kind := range []machine.SystemKind{machine.TSOPER, machine.STW} {
-		p := crashmc.Adversaries()[0]
-		cfg := machine.TableI(kind)
-		points, horizon, err := crashmc.HarvestWorkload(cfg, trace.Generate(p, cfg.Cores, seed), budget)
-		if err != nil {
-			return nil, fmt.Errorf("crashmc: %w", err)
+		kills, err := crashmc.Mutate(crashmc.Adversaries()[0], kind, machine.TableI(kind), seed, budget)
+		if kills == nil {
+			return nil, err // the campaign could not run
 		}
-		reversed := make([]uint64, 0, len(points)+1)
-		reversed = append(reversed, horizon)
-		for i := len(points) - 1; i >= 0; i-- {
-			reversed = append(reversed, points[i])
-		}
-		kills, err := crashmc.Mutate(p, kind, cfg, seed, reversed)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}

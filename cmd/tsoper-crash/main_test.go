@@ -15,6 +15,10 @@ func TestExitCodes(t *testing.T) {
 	// before writing it.
 	dir := t.TempDir()
 	x, y := filepath.Join(dir, "x.json"), filepath.Join(dir, "y.json")
+	// sweep1 appends flags to a 1-point sweep that exits 0 on its own.
+	sweep1 := func(flags ...string) []string {
+		return append([]string{"-bench", "radix", "-system", "tsoper", "-crashes", "1", "-scale", "0.05"}, flags...)
+	}
 	cases := []struct {
 		name   string
 		argv   []string
@@ -24,40 +28,23 @@ func TestExitCodes(t *testing.T) {
 	}{
 		{name: "bad flag", argv: []string{"-nonsense"}, want: 2},
 		{name: "non-positive crashes", argv: []string{"-crashes", "0"}, want: 2, stderr: "-crashes must be positive"},
-		{name: "zero step", argv: []string{"-step", "0"}, want: 2, stderr: "-step must be positive"},
-		{name: "zero first", argv: []string{"-first", "0"}, want: 2, stderr: "-first must be positive"},
 		{name: "non-positive scale", argv: []string{"-scale", "-1"}, want: 2, stderr: "-scale must be positive"},
-		{name: "unknown strategy", argv: []string{"-strategy", "psychic"}, want: 2, stderr: "unknown strategy"},
 		{name: "unknown campaign", argv: []string{"-campaign", "lunch"}, want: 2, stderr: "unknown campaign"},
 		{name: "unknown benchmark", argv: []string{"-bench", "doom"}, want: 2, stderr: "unknown benchmark"},
 		{name: "unknown protocol", argv: []string{"-protocol", "dragon"}, want: 2, stderr: "unknown coherence protocol"},
 		{name: "unknown program", argv: []string{"-program", "no-such-program"}, want: 2, stderr: "neither a library program"},
 		{name: "program with campaign", argv: []string{"-program", "radix", "-campaign", "smoke"}, want: 2, stderr: "-program does not apply to the smoke campaign"},
 		{name: "non-strict system", argv: []string{"-system", "bsp"}, want: 2, stderr: "strict system"},
-		{name: "compare with campaign", argv: []string{"-compare-out", x, "-campaign", "smoke"}, want: 2, stderr: "-compare-out does not apply to the smoke campaign"},
-		// Each mode rejects the flags it does not read (modeFlags), and
-		// -crashes is checked before any mode runs.
-		{name: "compare non-positive crashes", argv: []string{"-compare-out", x, "-crashes", "0"}, want: 2, stderr: "-crashes must be positive"},
-		{name: "compare with json", argv: []string{"-compare-out", x, "-json", y}, want: 2, stderr: "-json does not apply to the fork-vs-replay comparison"},
-		{name: "min-speedup without compare-out", argv: []string{"-min-speedup", "2"}, want: 2, stderr: "-min-speedup does not apply to the sweep"},
+		// Each mode rejects the flags it does not read (modeFlags).
 		{name: "smoke with scale", argv: []string{"-campaign", "smoke", "-scale", "0.1", "-crashes", "2", "-json", y}, want: 2, stderr: "-scale does not apply to the smoke campaign"},
-		{name: "smoke with strategy", argv: []string{"-campaign", "smoke", "-strategy", "random"}, want: 2, stderr: "-strategy does not apply to the smoke campaign"},
 		{name: "mutation with scale", argv: []string{"-campaign", "mutation", "-scale", "0.1"}, want: 2, stderr: "-scale does not apply to the mutation campaign"},
 		{name: "mutation with protocol", argv: []string{"-campaign", "mutation", "-protocol", "tardis"}, want: 2, stderr: "-protocol does not apply to the mutation campaign"},
 		{name: "program with scale", argv: []string{"-program", "producer-consumer-ring", "-scale", "0.1"}, want: 2, stderr: "-scale does not apply to the program sweep"},
-		// -first and -step place only uniform crash points.
-		{name: "events with step", argv: []string{"-strategy", "events", "-step", "100", "-crashes", "1", "-scale", "0.05"}, want: 2, stderr: "apply only to -strategy uniform"},
-		{name: "random with first", argv: []string{"-strategy", "random", "-first", "9999", "-crashes", "1", "-scale", "0.05"}, want: 2, stderr: "apply only to -strategy uniform"},
 		// Resilience mode: -faults or -campaign resilience.
 		{name: "unknown fault preset", argv: []string{"-faults", "blizzard"}, want: 2, stderr: "unknown fault preset"},
 		{name: "faults with program", argv: []string{"-faults", "storm", "-program", "producer-consumer-ring"}, want: 2, stderr: "-program does not apply"},
-		{name: "faults with strategy", argv: []string{"-faults", "storm", "-strategy", "events"}, want: 2, stderr: "-strategy does not apply"},
-		{name: "faults with first", argv: []string{"-faults", "storm", "-first", "500"}, want: 2, stderr: "-first does not apply"},
-		{name: "faults with step", argv: []string{"-faults", "storm", "-step", "1500"}, want: 2, stderr: "-step does not apply"},
 		{name: "faults with protocol", argv: []string{"-faults", "storm", "-protocol", "slc"}, want: 2, stderr: "-protocol does not apply"},
 		{name: "faults with shrink", argv: []string{"-faults", "storm", "-shrink"}, want: 2, stderr: "-shrink does not apply"},
-		{name: "faults with compare-out", argv: []string{"-faults", "storm", "-compare-out", x}, want: 2, stderr: "-compare-out does not apply"},
-		{name: "faults with min-speedup", argv: []string{"-faults", "storm", "-min-speedup", "2"}, want: 2, stderr: "-min-speedup does not apply"},
 		{name: "faults with campaign", argv: []string{"-faults", "storm", "-campaign", "smoke"}, want: 2, stderr: "-faults does not apply to the smoke campaign"},
 		{name: "resilience campaign with faults", argv: []string{"-campaign", "resilience", "-faults", "storm"}, want: 2, stderr: "-faults does not apply to the resilience campaign"},
 		{name: "resilience campaign with protocol", argv: []string{"-campaign", "resilience", "-protocol", "tardis"}, want: 2, stderr: "-protocol does not apply"},
@@ -68,12 +55,14 @@ func TestExitCodes(t *testing.T) {
 		{name: "resilience unknown campaign", argv: []string{"-faults", "storm", "-campaign", "lunch"}, want: 2, stderr: `unknown campaign "lunch"`},
 		// The retired tsoper-faults point budget; resilience mode takes -crashes.
 		{name: "resilience bad flag", argv: []string{"-faults", "storm", "-points", "5"}, want: 2, stderr: "not defined: -points"},
-		// Retired flag, paired with a 1-point sweep that exits 0 on its own.
-		{
-			name: "retired full-replay flag",
-			argv: []string{"-bench", "radix", "-system", "tsoper", "-crashes", "1", "-scale", "0.05", "-full-replay"},
-			want: 2, stderr: "not defined: -full-replay",
-		},
+		{name: "stray argument", argv: []string{"-campaign", "mutation", "-crashes", "1", "stray"}, want: 2, stderr: "unexpected arguments: stray"},
+		// Retired flags.
+		{name: "retired full-replay flag", argv: sweep1("-full-replay"), want: 2, stderr: "not defined: -full-replay"},
+		{name: "retired strategy flag", argv: sweep1("-strategy", "events"), want: 2, stderr: "not defined: -strategy"},
+		{name: "retired first flag", argv: sweep1("-first", "500"), want: 2, stderr: "not defined: -first"},
+		{name: "retired step flag", argv: sweep1("-step", "1500"), want: 2, stderr: "not defined: -step"},
+		{name: "retired compare-out flag", argv: sweep1("-compare-out", x), want: 2, stderr: "not defined: -compare-out"},
+		{name: "retired min-speedup flag", argv: sweep1("-min-speedup", "2"), want: 2, stderr: "not defined: -min-speedup"},
 		{
 			name: "clean sweep",
 			argv: []string{"-bench", "radix", "-system", "tsoper", "-crashes", "2", "-scale", "0.05"},
@@ -111,33 +100,6 @@ func TestExitCodes(t *testing.T) {
 				t.Errorf("stderr %q does not mention %q", stderr.String(), tc.stderr)
 			}
 		})
-	}
-}
-
-// TestCompareMode runs the timing comparison end to end on a small budget
-// and checks the artifact records identical reports.
-func TestCompareMode(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs two real campaigns")
-	}
-	out := filepath.Join(t.TempDir(), "fork-vs-replay.json")
-	var stdout, stderr bytes.Buffer
-	if got := run([]string{"-compare-out", out, "-crashes", "5", "-parallel", "4"}, &stdout, &stderr); got != 0 {
-		t.Fatalf("compare mode = %d\nstderr: %s", got, stderr.String())
-	}
-	body, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc compareDoc
-	if err := json.Unmarshal(body, &doc); err != nil {
-		t.Fatalf("artifact is not the comparison document: %v\n%s", err, body)
-	}
-	if !doc.ReportsIdentical {
-		t.Fatal("artifact records diverging reports")
-	}
-	if doc.Injections == 0 || doc.PrefixForkSeconds <= 0 || doc.FullReplaySeconds <= 0 {
-		t.Fatalf("artifact incomplete: %+v", doc)
 	}
 }
 

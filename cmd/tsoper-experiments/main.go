@@ -65,6 +65,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	if fs.NArg() > 0 {
+		return usageErr("unexpected arguments: %s", strings.Join(fs.Args(), " "))
+	}
 	if *scale <= 0 {
 		return usageErr("-scale must be positive, got %g", *scale)
 	}

@@ -29,6 +29,7 @@ func TestExitCodes(t *testing.T) {
 		{name: "unknown experiment", argv: []string{"-exp", "fig99"}, want: 2, stderr: "unknown experiment"},
 		{name: "unknown benchmark", argv: []string{"-exp", "fig11", "-bench", "doom"}, want: 2, stderr: "unknown benchmark"},
 		{name: "tableI only", argv: []string{"-exp", "tableI"}, want: 0, stdout: "==== tableI"},
+		{name: "stray argument", argv: []string{"-exp", "tableI", "stray"}, want: 2, stderr: "unexpected arguments: stray"},
 		{
 			name: "protocols-json without protocols",
 			argv: []string{"-exp", "tableI", "-protocols-json", filepath.Join(t.TempDir(), "p.json")},

@@ -56,8 +56,8 @@ const defaultPresets = "nvm-transient,noc-lossy"
 var modeFlags = map[string][]string{
 	"corpus listing":  {"list"},
 	"corpus rewrite":  {"write-corpus"},
-	"corpus gate":     {"corpus", "faults", "fault", "no-mutation", "shrink", "budget", "protocol", "json"},
-	"single-test run": {"test", "faults", "fault", "shrink", "budget", "protocol", "json"},
+	"corpus gate":     {"corpus", "faults", "fault", "no-mutation", "shrink", "protocol", "json"},
+	"single-test run": {"test", "faults", "fault", "shrink", "protocol", "json"},
 }
 
 func run(argv []string, stdout, stderr io.Writer) int {
@@ -71,7 +71,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fault       = fs.String("fault", "", "inject a persistency CrashFault into every recovered state (mutation debugging)")
 		noMutation  = fs.Bool("no-mutation", false, "skip the corpus gate's oracle mutation testing")
 		shrink      = fs.Bool("shrink", false, "minimize a failing test before reporting it")
-		budget      = fs.Int("budget", 0, "crash points per perturbation (0 = default)")
 		protocol    = fs.String("protocol", "slc", "coherence protocol: slc, mesi, or tardis")
 		jsonPath    = fs.String("json", "", "write the conformance report to this path as JSON")
 		writeCorpus = fs.String("write-corpus", "", "regenerate the golden corpus files into this directory and exit")
@@ -194,7 +193,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			o.Scheduler = kind
 			o.Coherence = proto
 			o.Fault = crashFault
-			o.CrashBudget = *budget
 			if crashFault != machine.FaultNone {
 				o.Coverage = false
 			}
@@ -241,7 +239,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			o.Faults = &p
 			o.Fault = crashFault
 			o.Coverage = false
-			o.CrashBudget = *budget
 			r := litmus.Explore(t, o)
 			rep.Add(r)
 			if err := r.Err(); err != nil {
@@ -256,9 +253,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	// Axis 3: oracle mutation testing — every injectable persistency fault
 	// must be killed by some corpus test.
 	if *corpus && !*noMutation {
-		kills, err := litmus.MutationKills(tests, litmus.Options{
-			System: machine.TSOPER, CrashBudget: *budget,
-		})
+		kills, err := litmus.MutationKills(tests, litmus.Options{})
 		rep.AddKills(kills)
 		for _, k := range kills {
 			status := "killed"

@@ -36,6 +36,7 @@ func TestExitCodes(t *testing.T) {
 		// Retired flags, paired with -list, which exits 0 on its own.
 		{name: "retired scheduler flag", argv: []string{"-scheduler", "both", "-list"}, want: 2, stderr: "not defined: -scheduler"},
 		{name: "retired mutation flag", argv: []string{"-mutation", "-list"}, want: 2, stderr: "not defined: -mutation"},
+		{name: "retired budget flag", argv: []string{"-budget", "5", "-list"}, want: 2, stderr: "not defined: -budget"},
 		// Each mode rejects the flags it does not read (modeFlags).
 		{name: "list with test", argv: []string{"-list", "-test", "mp"}, want: 2, stderr: "-test does not apply to the corpus listing"},
 		{name: "list with fault and json", argv: []string{"-list", "-fault", "torn-group", "-json", x}, want: 2, stderr: "does not apply to the corpus listing"},

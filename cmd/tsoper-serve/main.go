@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -80,9 +81,19 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return usage("-drain-timeout must be positive, got %v", *drainTimeout)
 	}
 
-	log.SetPrefix("tsoper-serve: ")
-	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
+	logger := log.New(stderr, "tsoper-serve: ", log.LstdFlags|log.Lmsgprefix)
 
+	// Install the handler before the listener opens, so a signal sent once
+	// /healthz answers always drains instead of killing the process.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
+	defer signal.Stop(sigCh)
+
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintf(stderr, "serve: %v\n", err)
+		return 1
+	}
 	srv := service.New(service.Config{
 		Workers:       *workers,
 		QueueDepth:    *queueDepth,
@@ -92,22 +103,14 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	})
 	srv.Start()
 
-	// Install the handler before the listener opens, so a signal sent once
-	// /healthz answers always drains instead of killing the process.
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
-	defer signal.Stop(sigCh)
-
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	httpSrv := &http.Server{Handler: srv}
 	errCh := make(chan error, 1)
-	go func() {
-		log.Printf("listening on %s", *addr)
-		errCh <- httpSrv.ListenAndServe()
-	}()
+	logger.Printf("listening on %s", ln.Addr())
+	go func() { errCh <- httpSrv.Serve(ln) }()
 
 	select {
 	case sig := <-sigCh:
-		log.Printf("%s: draining (queue depth %d)", sig, srv.Metrics().QueueDepth)
+		logger.Printf("%s: draining (queue depth %d)", sig, srv.Metrics().QueueDepth)
 	case err := <-errCh:
 		fmt.Fprintf(stderr, "serve: %v\n", err)
 		return 1

@@ -82,16 +82,11 @@ func TestSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	var stdout, stderr bytes.Buffer
+	var stdout bytes.Buffer
+	var stderr syncBuffer // run logs to it while the test reads it
 	exit := make(chan int, 1)
 	go func() {
-		exit <- run([]string{"-addr", addr, "-workers", "2", "-queue", "16"}, &stdout, &stderr)
+		exit <- run([]string{"-addr", "127.0.0.1:0", "-workers", "2", "-queue", "16"}, &stdout, &stderr)
 	}()
 	code := -1
 	defer func() {
@@ -101,22 +96,32 @@ func TestSmoke(t *testing.T) {
 		}
 	}()
 
+	// run logs the address it bound once the listener is open.
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	var addr string
+	for {
+		if _, rest, ok := strings.Cut(stderr.String(), "listening on "); ok {
+			addr, _, _ = strings.Cut(rest, "\n")
+			break
+		}
+		select {
+		case code = <-exit:
+			t.Fatalf("run exited %d before serving: %s", code, stderr.String())
+		case <-ctx.Done():
+			t.Fatal("server never logged its address")
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	if strings.HasSuffix(addr, ":0") {
+		t.Fatalf("run logged the requested address %s, not the bound one", addr)
+	}
+
 	// The client's own transport, so that its idle connections can be
 	// closed before the drain: Shutdown waits five seconds on a connection
 	// that was dialed but never sent a request.
 	transport := &http.Transport{}
 	c := client.New("http://"+addr, &http.Client{Transport: transport})
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	for c.Healthz(ctx) != nil {
-		select {
-		case code = <-exit:
-			t.Fatalf("run exited %d before serving: %s", code, stderr.String())
-		case <-ctx.Done():
-			t.Fatal("server never answered /healthz")
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
 
 	// Four templates, all under TSOPER: three benchmarks at scale 0.05 and
 	// one library program. Every third job resubmits template (i/3) mod 4
@@ -205,4 +210,22 @@ func TestSmoke(t *testing.T) {
 		t.Fatalf("run exited %d after SIGTERM\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
 	}
 	t.Log(strings.TrimSpace(stdout.String()))
+}
+
+// syncBuffer is a bytes.Buffer safe for concurrent use.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }

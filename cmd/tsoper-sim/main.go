@@ -16,7 +16,8 @@
 // timeline (open it in ui.perfetto.dev); -metrics-out writes the unified
 // metrics snapshot; -metrics-diff compares two snapshots without running
 // anything. Each mode reads only the flags in its modeFlags row; setting
-// any other flag is a usage error.
+// any other flag, or a positional argument outside -metrics-diff, is a
+// usage error.
 //
 // Systems: baseline, hw-rp, bsp, bsp+slc, bsp+slc+agb, stw, tsoper.
 // Protocols (-protocol): slc (default), mesi, tardis.
@@ -32,6 +33,7 @@ import (
 	"io"
 	"os"
 	"slices"
+	"strings"
 
 	"repro/internal/telemetry"
 	"repro/tsoper"
@@ -100,6 +102,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	})
 	if stray != "" {
 		return usageErr("-%s does not apply to the %s", stray, mode)
+	}
+	if mode != "metrics diff" && fs.NArg() > 0 {
+		return usageErr("unexpected arguments: %s", strings.Join(fs.Args(), " "))
 	}
 	if *scale <= 0 {
 		return usageErr("-scale must be positive, got %g", *scale)

@@ -32,6 +32,8 @@ func TestExitCodes(t *testing.T) {
 		{name: "metrics-diff arity", argv: []string{"-metrics-diff", "only-one.json"}, want: 2, stderr: "OLD.json NEW.json"},
 		{name: "metrics-diff missing files", argv: []string{"-metrics-diff", "does-not-exist.json", "nor-this.json"}, want: 1},
 		{name: "list", argv: []string{"-list"}, want: 0, stdout: "producer-consumer-ring"},
+		{name: "list with stray argument", argv: []string{"-list", "stray"}, want: 2, stderr: "unexpected arguments: stray"},
+		{name: "bench run with stray argument", argv: []string{"-bench", "radix", "-scale", "0.02", "stray"}, want: 2, stderr: "unexpected arguments: stray"},
 		// Retired flags: each paired with -list, which exits 0 on its own.
 		{name: "retired scheduler flag", argv: []string{"-scheduler", "heap", "-list"}, want: 2, stderr: "not defined: -scheduler"},
 		{name: "retired save-trace flag", argv: []string{"-save-trace", "x", "-list"}, want: 2, stderr: "not defined: -save-trace"},

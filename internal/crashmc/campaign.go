@@ -13,42 +13,20 @@ import (
 	"repro/internal/trace"
 )
 
-// Strategy selects how a campaign chooses its crash points.
+// Strategy names how a campaign chooses its crash points. There is one:
+// StrategyEvents harvests up to Points persistency-transition cycles of an
+// instrumented run (plus their successors) and tops up with a seeded random
+// sweep over the run's horizon when the harvest is smaller.
 type Strategy uint8
 
-const (
-	// StrategyEvents harvests the persistency-transition cycles of an
-	// instrumented run (plus their successors) and tops up with a seeded
-	// random sweep when the harvest is smaller than the point budget.
-	StrategyEvents Strategy = iota
-	// StrategyUniform spaces crash points evenly (the legacy sweep).
-	StrategyUniform
-	// StrategyRandom draws crash points uniformly at random over the
-	// run's full horizon, seeded per campaign.
-	StrategyRandom
-)
+// StrategyEvents is the zero Strategy and the only one Run accepts.
+const StrategyEvents Strategy = 0
 
 func (s Strategy) String() string {
-	switch s {
-	case StrategyEvents:
+	if s == StrategyEvents {
 		return "events"
-	case StrategyUniform:
-		return "uniform"
-	case StrategyRandom:
-		return "random"
-	default:
-		return fmt.Sprintf("Strategy(%d)", uint8(s))
 	}
-}
-
-// ParseStrategy resolves a strategy by name.
-func ParseStrategy(name string) (Strategy, bool) {
-	for _, s := range []Strategy{StrategyEvents, StrategyUniform, StrategyRandom} {
-		if s.String() == name {
-			return s, true
-		}
-	}
-	return StrategyEvents, false
+	return fmt.Sprintf("Strategy(%d)", uint8(s))
 }
 
 // Spec configures one campaign.
@@ -66,19 +44,15 @@ type Spec struct {
 	Programs []*program.Program
 	// Scale multiplies each profile's OpsPerCore (<= 0 means 1.0).
 	Scale float64
-	// Seed drives workload generation and random sweeps.
+	// Seed drives workload generation and the top-up random sweeps.
 	Seed int64
 	// Points is the crash-point budget per benchmark x system tuple.
 	Points int
-	// Strategy picks the crash points; First/Step parameterize
-	// StrategyUniform (defaults 500/1500).
-	Strategy    Strategy
-	First, Step uint64
+	// Strategy must be StrategyEvents (the zero value); Run rejects any
+	// other.
+	Strategy Strategy
 	// Parallel is the worker count (<= 0 means GOMAXPROCS).
 	Parallel int
-	// Fault, when not FaultNone, injects the corruption into every
-	// recovered state (mutation campaigns).
-	Fault machine.CrashFault
 	// Shrink minimizes each failing case before reporting it.
 	Shrink bool
 	// Detail retains every injection (not just the violating ones) in the
@@ -87,14 +61,16 @@ type Spec struct {
 	// Coherence selects the coherence backend for every tuple (default
 	// SLC); it applies after Config, overriding its Coherence field.
 	Coherence machine.CoherenceKind
-	// FullReplay runs the reference execution, Replay: one fresh machine
-	// from cycle 0 per crash point. The default, Sweep, shares one machine
-	// per ascending chunk of crash points, advancing it incrementally and
-	// capturing the crash state at each point — the same deterministic
-	// injections at a fraction of the simulated cycles.
-	FullReplay bool
 	// Config overrides the per-system machine configuration (nil: Table I).
+	// A CrashFault it sets corrupts every recovered state (mutation
+	// campaigns).
 	Config func(machine.SystemKind) machine.Config
+
+	// replay, set only by tests, runs the reference execution, Replay: one
+	// fresh machine from cycle 0 per crash point. Run otherwise uses Sweep,
+	// which shares one machine per ascending chunk of crash points: the
+	// same deterministic injections at a fraction of the simulated cycles.
+	replay bool
 }
 
 func (s Spec) scale() float64 {
@@ -161,6 +137,9 @@ func Run(spec Spec) (*Report, error) {
 	if spec.Points <= 0 {
 		return nil, errors.New("crashmc: campaign needs a positive crash-point budget")
 	}
+	if spec.Strategy != StrategyEvents {
+		return nil, fmt.Errorf("crashmc: unknown crash-point strategy %v", spec.Strategy)
+	}
 	for _, k := range spec.Systems {
 		if k != machine.STW && k != machine.TSOPER {
 			return nil, fmt.Errorf("crashmc: %v does not claim strict TSO persistency", k)
@@ -206,12 +185,11 @@ func Run(spec Spec) (*Report, error) {
 
 	// Per tuple, sort the crash points and split them into contiguous
 	// ascending chunks; Sweep runs one machine per chunk through its
-	// points. Full replay restarts from cycle 0 at every point anyway, so it
-	// runs Replay over one-point chunks, as parallel as the fork. The
-	// injections land at their original indices, so the report is the same
-	// either way.
+	// points. Replay restarts from cycle 0 at every point anyway, so it runs
+	// over one-point chunks, as parallel as the fork. The injections land at
+	// their original indices, so the report is the same either way.
 	sweep, perTuple := Sweep, max(spec.workers()/len(tuples), 1)
-	if spec.FullReplay {
+	if spec.replay {
 		sweep, perTuple = Replay, len(jobs)
 	}
 	var chunks [][]int
@@ -230,14 +208,12 @@ func Run(spec Spec) (*Report, error) {
 	runParallel(len(chunks), spec.workers(), func(ci int) {
 		idxs := chunks[ci]
 		tp := jobs[idxs[0]].tuple
-		cfg := tp.cfg
-		cfg.CrashFault = spec.Fault
 		points := make([]uint64, len(idxs))
 		for k, ji := range idxs {
 			points[k] = jobs[ji].at
 		}
-		sweepErrs[ci] = sweep(cfg, tp.workload(cfg, spec.Seed), points, func(k int, cs *machine.CrashState) {
-			injections[idxs[k]] = spec.evaluate(tp, points[k], cfg, cs)
+		sweepErrs[ci] = sweep(tp.cfg, tp.workload(tp.cfg, spec.Seed), points, func(k int, cs *machine.CrashState) {
+			injections[idxs[k]] = spec.evaluate(tp, points[k], cs)
 		})
 	})
 	if err := firstError(sweepErrs); err != nil {
@@ -278,39 +254,23 @@ func splitChunks(idxs []int, n int) [][]int {
 	return out
 }
 
-// resolvePoints materializes the tuple's crash points under the spec's
-// strategy. idx decorrelates the random streams of different tuples.
+// resolvePoints harvests up to Points transition cycles of the tuple's
+// workload and tops up with seeded random cycles over its horizon. idx
+// decorrelates the random streams of different tuples.
 func (spec Spec) resolvePoints(tp *tuple, idx int64) ([]uint64, error) {
-	first, step := spec.First, spec.Step
-	if first == 0 {
-		first = 500
+	points, horizon, err := HarvestWorkload(tp.cfg, tp.workload(tp.cfg, spec.Seed), spec.Points)
+	if err != nil {
+		return nil, err
 	}
-	if step == 0 {
-		step = 1500
+	if missing := spec.Points - len(points); missing > 0 {
+		points = append(points, RandomPoints(horizon, missing, spec.Seed+idx*7919)...)
 	}
-	switch spec.Strategy {
-	case StrategyUniform:
-		return UniformPoints(first, step, spec.Points), nil
-	case StrategyRandom:
-		_, horizon, err := HarvestWorkload(tp.cfg, tp.workload(tp.cfg, spec.Seed), 1)
-		if err != nil {
-			return nil, err
-		}
-		return RandomPoints(horizon, spec.Points, spec.Seed+idx*7919), nil
-	default: // StrategyEvents
-		points, horizon, err := HarvestWorkload(tp.cfg, tp.workload(tp.cfg, spec.Seed), spec.Points)
-		if err != nil {
-			return nil, err
-		}
-		if missing := spec.Points - len(points); missing > 0 {
-			points = append(points, RandomPoints(horizon, missing, spec.Seed+idx*7919)...)
-		}
-		return points, nil
-	}
+	return points, nil
 }
 
 // evaluate checks one recovered crash state and summarizes it.
-func (spec Spec) evaluate(tp *tuple, at uint64, cfg machine.Config, cs *machine.CrashState) Injection {
+func (spec Spec) evaluate(tp *tuple, at uint64, cs *machine.CrashState) Injection {
+	cfg := tp.cfg
 	inj := Injection{
 		Benchmark: tp.name,
 		System:    tp.system.String(),
@@ -320,8 +280,8 @@ func (spec Spec) evaluate(tp *tuple, at uint64, cfg machine.Config, cs *machine.
 		Durable:   cs.DurableGroups(),
 	}
 	inj.Partial = inj.Durable > 0 && inj.Durable < len(cs.Groups)
-	if spec.Fault != machine.FaultNone {
-		inj.Fault = spec.Fault.String()
+	if cfg.CrashFault != machine.FaultNone {
+		inj.Fault = cfg.CrashFault.String()
 		inj.FaultApplied = cs.FaultApplied
 	}
 	if err := checker.Check(cs); err != nil {
@@ -340,7 +300,7 @@ func (spec Spec) evaluate(tp *tuple, at uint64, cfg machine.Config, cs *machine.
 				Cores:            cfg.Cores,
 				Seed:             spec.Seed,
 				At:               at,
-				Fault:            spec.Fault.String(),
+				Fault:            cfg.CrashFault.String(),
 				Rule:             inj.Rule,
 				AGBLinesPerSlice: cfg.AGB.LinesPerSlice,
 				AGLimit:          cfg.AGLimit,

@@ -18,7 +18,6 @@ func smokeSpec() Spec {
 		Systems:    []machine.SystemKind{machine.TSOPER, machine.STW},
 		Seed:       42,
 		Points:     50,
-		Strategy:   StrategyEvents,
 		Parallel:   4,
 	}
 }
@@ -59,7 +58,6 @@ func TestPressureCampaignClean(t *testing.T) {
 		Systems:    []machine.SystemKind{machine.TSOPER},
 		Seed:       7,
 		Points:     30,
-		Strategy:   StrategyEvents,
 		Parallel:   4,
 		Config:     PressureConfig,
 	}
@@ -72,21 +70,6 @@ func TestPressureCampaignClean(t *testing.T) {
 	}
 	if report.PartialStates == 0 {
 		t.Fatal("pressure campaign never hit a partial state")
-	}
-}
-
-func TestRandomStrategyClean(t *testing.T) {
-	spec := smokeSpec()
-	spec.Name = "random"
-	spec.Benchmarks = Adversaries()[:1]
-	spec.Strategy = StrategyRandom
-	spec.Points = 25
-	report, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Injections != 50 || len(report.Violations) > 0 {
-		t.Fatalf("random campaign: %s", report.Summary())
 	}
 }
 
@@ -139,10 +122,6 @@ func TestPointGenerators(t *testing.T) {
 			t.Fatal("different seeds produced identical sweeps")
 		}
 	}
-	u := UniformPoints(500, 1500, 3)
-	if u[0] != 500 || u[1] != 2000 || u[2] != 3500 {
-		t.Fatalf("uniform points wrong: %v", u)
-	}
 }
 
 func TestCampaignValidation(t *testing.T) {
@@ -159,20 +138,29 @@ func TestCampaignValidation(t *testing.T) {
 	if _, err := Run(spec); err == nil {
 		t.Fatal("zero point budget accepted")
 	}
+	spec = smokeSpec()
+	spec.Strategy = StrategyEvents + 1
+	if _, err := Run(spec); err == nil {
+		t.Fatal("a crash-point strategy other than events accepted")
+	}
 }
 
-// A configuration machine.New rejects comes back as an error, whether the
-// harvest (events) or the sweep (uniform, forked or replayed) meets it
-// first — even when it surfaces in a worker goroutine.
+// A configuration machine.New rejects comes back as an error, whether Run
+// forks or replays its sweep — even when it surfaces in a worker goroutine.
+// Run meets it in the harvest, so Sweep and Replay are checked directly too.
 func TestRunRejectsInvalidConfig(t *testing.T) {
+	invalid := func(k machine.SystemKind) machine.Config {
+		cfg := machine.TableI(k)
+		cfg.AGLimit = 0
+		return cfg
+	}
 	for _, tc := range []struct {
-		name       string
-		strategy   Strategy
-		fullReplay bool
+		name   string
+		replay bool
+		sweep  func(machine.Config, *trace.Workload, []uint64, func(int, *machine.CrashState)) error
 	}{
-		{"events", StrategyEvents, false},
-		{"uniform", StrategyUniform, false},
-		{"uniform-replay", StrategyUniform, true},
+		{"fork", false, Sweep},
+		{"replay", true, Replay},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := Spec{
@@ -180,14 +168,9 @@ func TestRunRejectsInvalidConfig(t *testing.T) {
 				Systems:    []machine.SystemKind{machine.TSOPER},
 				Seed:       1,
 				Points:     4,
-				Strategy:   tc.strategy,
-				FullReplay: tc.fullReplay,
 				Parallel:   2,
-				Config: func(k machine.SystemKind) machine.Config {
-					cfg := machine.TableI(k)
-					cfg.AGLimit = 0
-					return cfg
-				},
+				Config:     invalid,
+				replay:     tc.replay,
 			}
 			report, err := Run(spec)
 			if err == nil || report != nil {
@@ -195,6 +178,14 @@ func TestRunRejectsInvalidConfig(t *testing.T) {
 			}
 			if !strings.HasPrefix(err.Error(), "crashmc: ") || !strings.Contains(err.Error(), "AG limit") {
 				t.Fatalf("error %q does not name the rejected AG limit", err)
+			}
+			cfg := invalid(machine.TSOPER)
+			w := trace.Generate(Adversaries()[0], cfg.Cores, 1)
+			err = tc.sweep(cfg, w, []uint64{500, 1000}, func(int, *machine.CrashState) {
+				t.Error("visited a crash state of a rejected configuration")
+			})
+			if err == nil || !strings.Contains(err.Error(), "AG limit") {
+				t.Fatalf("%s of an invalid config: err %v, want the rejected AG limit", tc.name, err)
 			}
 		})
 	}
@@ -241,7 +232,6 @@ func TestProgramCampaignClean(t *testing.T) {
 		Systems:  []machine.SystemKind{machine.TSOPER},
 		Seed:     42,
 		Points:   25,
-		Strategy: StrategyEvents,
 		Parallel: 4,
 		Detail:   true,
 	}

@@ -19,31 +19,30 @@ import (
 // TestIncrementalMatchesFullReplay is the differential gate for the
 // prefix-forked sweep: the incremental mode (one machine per ascending
 // chunk, one capture per point) must produce a report byte-identical to the
-// legacy one-machine-per-point full replay.
+// one-machine-per-point full replay. The pressure case is tsoper-bench's
+// crash_campaign at a twentieth of its points.
 func TestIncrementalMatchesFullReplay(t *testing.T) {
-	spec := Spec{
-		Name:       "diff",
-		Benchmarks: Adversaries()[:2],
-		Systems:    []machine.SystemKind{machine.TSOPER, machine.STW},
-		Seed:       13,
-		Points:     25,
-		Strategy:   StrategyEvents,
-		Parallel:   4,
-		Detail:     true,
-	}
-	fast, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.FullReplay = true
-	slow, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb, _ := json.Marshal(fast)
-	sb, _ := json.Marshal(slow)
-	if string(fb) != string(sb) {
-		t.Fatalf("incremental and full-replay reports differ:\nincremental: %s\nfull: %s", fb, sb)
+	both := []machine.SystemKind{machine.TSOPER, machine.STW}
+	for _, spec := range []Spec{
+		{Name: "smoke", Benchmarks: Adversaries()[:2], Systems: both, Seed: 13, Points: 25, Parallel: 4, Detail: true},
+		{Name: "pressure", Benchmarks: Adversaries(), Systems: both, Seed: 42, Points: 20, Parallel: 4, Detail: true, Config: PressureConfig},
+	} {
+		t.Run(spec.Name, func(t *testing.T) {
+			fast, err := Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.replay = true
+			slow, err := Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fb, _ := json.Marshal(fast)
+			sb, _ := json.Marshal(slow)
+			if string(fb) != string(sb) {
+				t.Fatalf("incremental and full-replay reports differ:\nincremental: %s\nfull: %s", fb, sb)
+			}
+		})
 	}
 }
 

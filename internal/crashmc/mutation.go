@@ -3,6 +3,7 @@ package crashmc
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/checker"
 	"repro/internal/machine"
@@ -26,13 +27,23 @@ type Kill struct {
 }
 
 // Mutate proves the checker is not vacuously green: for every injectable
-// machine.CrashFault it crashes the workload at the given points with the
-// fault armed and requires that, at the first point where the fault finds a
-// target, the checker rejects the state with exactly the engineered rule.
-// A fault the checker accepts (or misclassifies) is a surviving mutant and
-// an error; a fault that never found a target across all points is also an
-// error — the campaign was too weak to even express the bug.
-func Mutate(p trace.Profile, kind machine.SystemKind, cfg machine.Config, seed int64, points []uint64) ([]Kill, error) {
+// machine.CrashFault it crashes the workload with the fault armed and
+// requires that, at the first crash point where the fault finds a target,
+// the checker rejects the state with exactly the engineered rule. The crash
+// points are the workload's drain horizon, then up to budget harvested
+// transition cycles newest first: late crashes have rich journals (durable,
+// frozen and open groups), so faults apply quickly. A wedged harvest run
+// returns no kills. A fault the checker accepts (or misclassifies) is a
+// surviving mutant and an error; a fault that never found a target across
+// all points is also an error — the campaign was too weak to even express
+// the bug.
+func Mutate(p trace.Profile, kind machine.SystemKind, cfg machine.Config, seed int64, budget int) ([]Kill, error) {
+	harvested, horizon, err := HarvestWorkload(cfg, trace.Generate(p, cfg.Cores, seed), budget)
+	if err != nil {
+		return nil, fmt.Errorf("crashmc: %w", err)
+	}
+	slices.Reverse(harvested)
+	points := append([]uint64{horizon}, harvested...)
 	var kills []Kill
 	var failures []error
 	for _, fault := range machine.Faults() {

@@ -14,16 +14,7 @@ func TestMutationKillsAllFaults(t *testing.T) {
 	for _, kind := range []machine.SystemKind{machine.TSOPER, machine.STW} {
 		t.Run(kind.String(), func(t *testing.T) {
 			p := Adversaries()[0] // contended hot lines: every fault finds targets
-			cfg := machine.TableI(kind)
-			points, horizon := harvest(t, p, cfg, 42, 60)
-			// Walk points newest-first: late crashes have rich journals
-			// (durable + frozen + open groups), so faults apply quickly.
-			reversed := make([]uint64, 0, len(points)+1)
-			reversed = append(reversed, horizon)
-			for i := len(points) - 1; i >= 0; i-- {
-				reversed = append(reversed, points[i])
-			}
-			kills, err := Mutate(p, kind, cfg, 42, reversed)
+			kills, err := Mutate(p, kind, machine.TableI(kind), 42, 60)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,7 +46,7 @@ func TestFaultNoneIsNoop(t *testing.T) {
 	spec.Benchmarks = Adversaries()[:1]
 	spec.Systems = []machine.SystemKind{machine.TSOPER}
 	spec.Points = 10
-	spec.Fault = machine.FaultNone
+	spec.Config = withCrashFault(machine.FaultNone)
 	report, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +68,7 @@ func TestFaultCampaignReportsViolations(t *testing.T) {
 			spec.Benchmarks = Adversaries()[:1]
 			spec.Systems = []machine.SystemKind{machine.TSOPER}
 			spec.Points = 12
-			spec.Fault = machine.FaultTornGroup
+			spec.Config = withCrashFault(machine.FaultTornGroup)
 			spec.Shrink = true
 			spec.Coherence = coh
 			wantCoherence := ""
@@ -114,5 +105,14 @@ func TestFaultCampaignReportsViolations(t *testing.T) {
 				t.Fatal("fault campaign reported clean")
 			}
 		})
+	}
+}
+
+// withCrashFault is a Spec.Config that arms the fault on Table I machines.
+func withCrashFault(f machine.CrashFault) func(machine.SystemKind) machine.Config {
+	return func(k machine.SystemKind) machine.Config {
+		cfg := machine.TableI(k)
+		cfg.CrashFault = f
+		return cfg
 	}
 }

@@ -96,12 +96,3 @@ func RandomPoints(horizon uint64, n int, seed int64) []uint64 {
 	sort.Slice(points, func(i, j int) bool { return points[i] < points[j] })
 	return points
 }
-
-// UniformPoints returns n evenly spaced crash cycles starting at first.
-func UniformPoints(first, step uint64, n int) []uint64 {
-	points := make([]uint64, n)
-	for i := range points {
-		points[i] = first + uint64(i)*step
-	}
-	return points
-}

@@ -13,12 +13,13 @@ import (
 )
 
 // ResilienceSpec configures a runtime fault-injection campaign: every
-// benchmark x system tuple runs once clean (the overhead baseline), once
-// under each fault schedule end to end (the run must complete — every
-// injected fault retried to success or degraded around, zero watchdog
-// stalls), and Points more times per schedule with a crash cut short of
-// completion, asserting the checker accepts every recovered state even
-// while the machine is mid-recovery from injected faults.
+// benchmark x system tuple, on the system's Table I machine, runs once clean
+// (the overhead baseline), once under each fault schedule end to end (the
+// run must complete — every injected fault retried to success or degraded
+// around, zero watchdog stalls), and Points more times per schedule with a
+// crash cut short of completion, asserting the checker accepts every
+// recovered state even while the machine is mid-recovery from injected
+// faults.
 type ResilienceSpec struct {
 	// Name labels the JSON artifact.
 	Name string
@@ -38,8 +39,6 @@ type ResilienceSpec struct {
 	Points int
 	// Parallel is the worker count (<= 0 means GOMAXPROCS).
 	Parallel int
-	// Config overrides the per-system machine configuration (nil: Table I).
-	Config func(machine.SystemKind) machine.Config
 }
 
 func (s ResilienceSpec) scale() float64 {
@@ -47,13 +46,6 @@ func (s ResilienceSpec) scale() float64 {
 		return 1.0
 	}
 	return s.Scale
-}
-
-func (s ResilienceSpec) config(kind machine.SystemKind) machine.Config {
-	if s.Config != nil {
-		return s.Config(kind)
-	}
-	return machine.TableI(kind)
 }
 
 func (s ResilienceSpec) workers() int {
@@ -179,7 +171,7 @@ func RunResilience(spec ResilienceSpec) (*ResilienceReport, error) {
 	baseline := make([]uint64, len(pairs))
 	baseErr := make([]error, len(pairs))
 	runParallel(len(pairs), spec.workers(), func(i int) {
-		cfg := spec.config(pairs[i].system)
+		cfg := machine.TableI(pairs[i].system)
 		m, err := machine.New(cfg)
 		if err != nil {
 			baseErr[i] = err
@@ -239,7 +231,7 @@ func RunResilience(spec ResilienceSpec) (*ResilienceReport, error) {
 // runCell executes one benchmark x system x schedule cell: the full faulted
 // run plus Points crash injections spread uniformly over its horizon.
 func (spec ResilienceSpec) runCell(bench trace.Profile, kind machine.SystemKind, sch faultplan.Spec, c *ResilienceCell) {
-	cfg := spec.config(kind)
+	cfg := machine.TableI(kind)
 	cfg.Faults = &sch
 
 	fail := func(at uint64, kindName, detail, rule string) {

@@ -12,11 +12,11 @@ import (
 	"repro/internal/sim"
 )
 
-// Options configures one exploration of a litmus test.
+// Options configures one exploration of a litmus test. Every exploration
+// runs TSOPER, crashes at up to 48 harvested points per perturbation
+// (crashBudget), and runs the crash-consistency checker on every crash
+// state.
 type Options struct {
-	// System is the persistency model (default TSOPER; STW is the other
-	// strict system the checker accepts).
-	System machine.SystemKind
 	// Scheduler selects the event-queue implementation; explorations under
 	// both schedulers must produce identical Results.
 	Scheduler sim.SchedulerKind
@@ -34,16 +34,10 @@ type Options struct {
 	// Perturbs lists the interleaving perturbations to sweep (default
 	// DefaultPerturbs()).
 	Perturbs []Perturb
-	// CrashBudget caps harvested crash points per perturbation (default 48;
-	// <0 keeps every harvested point).
-	CrashBudget int
 	// Coverage also requires every allowed outcome to be reached. On by
 	// default via Default(); disable under fault plans, where injected
 	// failures legitimately narrow the reachable set.
 	Coverage bool
-	// CrossCheck runs the crash-consistency checker on every crash state
-	// and reports oracle/checker disagreement.
-	CrossCheck bool
 
 	// replay, set only by tests, takes the crash states from
 	// crashmc.Replay instead of crashmc.Sweep: the reference the forked
@@ -51,11 +45,14 @@ type Options struct {
 	replay bool
 }
 
-// Default returns the standard conformance options: TSOPER, coverage and
-// cross-checking on, default perturbation sweep.
+// Default returns the standard conformance options: coverage on, default
+// perturbation sweep.
 func Default() Options {
-	return Options{System: machine.TSOPER, Coverage: true, CrossCheck: true}
+	return Options{Coverage: true}
 }
+
+// crashBudget caps the harvested crash points per perturbation.
+const crashBudget = 48
 
 // DefaultPerturbs returns the standard interleaving sweep: the unperturbed
 // lowering, forward and backward core staggers at several scales (the
@@ -185,7 +182,7 @@ func (r *Result) violate(v Violation) {
 
 // config builds the machine configuration for a test under the options.
 func (o Options) config(cores int) machine.Config {
-	cfg := machine.TableI(o.System)
+	cfg := machine.TableI(machine.TSOPER)
 	cfg.Cores = cores
 	cfg.Scheduler = o.Scheduler
 	cfg.Coherence = o.Coherence
@@ -199,19 +196,13 @@ func (o Options) config(cores int) machine.Config {
 // every reached durable outcome, coverage of the allowed set, and agreement
 // with the crash-consistency checker.
 func Explore(t *Test, o Options) *Result {
-	if o.System == machine.Baseline {
-		o.System = machine.TSOPER
-	}
 	if o.Perturbs == nil {
 		o.Perturbs = DefaultPerturbs()
-	}
-	if o.CrashBudget == 0 {
-		o.CrashBudget = 48
 	}
 
 	r := &Result{
 		Test:      t.Name,
-		System:    o.System.String(),
+		System:    machine.TSOPER.String(),
 		Allowed:   append([]string(nil), t.Allowed...),
 		Witnesses: map[string]Witness{},
 		Perturbs:  len(o.Perturbs),
@@ -247,11 +238,7 @@ func Explore(t *Test, o Options) *Result {
 	for _, p := range o.Perturbs {
 		lo := t.lower(p)
 		cfg := o.config(len(t.Cores))
-		budget := o.CrashBudget
-		if budget < 0 {
-			budget = 0
-		}
-		points, horizon, err := crashmc.HarvestWorkload(cfg, lo.w, budget)
+		points, horizon, err := crashmc.HarvestWorkload(cfg, lo.w, crashBudget)
 		if err != nil {
 			r.violate(Violation{Kind: "setup", Perturb: p.String(),
 				Detail: "harvest: " + err.Error()})
@@ -287,16 +274,14 @@ func Explore(t *Test, o Options) *Result {
 				r.violate(Violation{Kind: "unallowed", Outcome: out,
 					Perturb: p.String(), At: at})
 			}
-			if o.CrossCheck {
-				// The checker and the outcome oracle must agree: a state
-				// whose image the model allows must pass the checker. (The
-				// converse — checker-clean but unallowed — already reported
-				// above as "unallowed" and equally implicates one oracle.)
-				if err := checker.Check(cs); err != nil && outcomeOK {
-					r.violate(Violation{Kind: "checker-disagreement",
-						Outcome: out, Perturb: p.String(), At: at,
-						Detail: err.Error()})
-				}
+			// The checker and the outcome oracle must agree: a state whose
+			// image the model allows must pass the checker. (The converse —
+			// checker-clean but unallowed — already reported above as
+			// "unallowed" and equally implicates one oracle.)
+			if err := checker.Check(cs); err != nil && outcomeOK {
+				r.violate(Violation{Kind: "checker-disagreement",
+					Outcome: out, Perturb: p.String(), At: at,
+					Detail: err.Error()})
 			}
 		})
 		if err != nil {

@@ -56,7 +56,6 @@ func killMode(v Violation) string {
 // to notice that corruption.
 func MutationKills(tests []*Test, o Options) ([]Kill, error) {
 	o.Coverage = false
-	o.CrossCheck = true
 	if o.Perturbs == nil {
 		o.Perturbs = []Perturb{{}}
 	}

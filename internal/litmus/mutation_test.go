@@ -15,7 +15,7 @@ func TestMutationKills(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kills, err := MutationKills(tests, Options{System: machine.TSOPER})
+	kills, err := MutationKills(tests, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestMutationOutcomeKill(t *testing.T) {
 	}
 	// Other faults may legitimately survive a one-test corpus; only the
 	// torn-group entry matters here.
-	kills, _ := MutationKills([]*Test{tt}, Options{System: machine.TSOPER})
+	kills, _ := MutationKills([]*Test{tt}, Options{})
 	for _, k := range kills {
 		if k.Fault != machine.FaultTornGroup.String() {
 			continue
