@@ -25,11 +25,11 @@
 //	    the CI resilience campaign: two adversaries x tsoper x every preset
 //
 // The sweep and smoke modes crash at harvested persistency-transition
-// cycles, topped up with seeded random cycles, and fork each crash point
-// from an incrementally advanced prefix machine. -protocol selects the
-// coherence backend (slc, mesi, or tardis) for those modes. Each mode reads
-// only the flags in its modeFlags row; setting any other flag, or passing a
-// positional argument, is a usage error.
+// cycles, topped up with distinct seeded random cycles the harvest missed,
+// and fork each crash point from an incrementally advanced prefix machine.
+// -protocol selects the coherence backend (slc, mesi, or tardis) for those
+// modes. Each mode reads only the flags in its modeFlags row; setting any
+// other flag, or passing a positional argument, is a usage error.
 //
 // Exit status: 0 clean, 1 violations, surviving mutants, stalls or lost
 // persists, 2 usage error.
@@ -370,7 +370,7 @@ func runMutation(seed int64, budget int) (*crashmc.Report, error) {
 	report := &crashmc.Report{Name: "mutation", Seed: seed, Scale: 1, Strategy: "events"}
 	var firstErr error
 	for _, kind := range []machine.SystemKind{machine.TSOPER, machine.STW} {
-		kills, err := crashmc.Mutate(crashmc.Adversaries()[0], kind, machine.TableI(kind), seed, budget)
+		kills, err := crashmc.Mutate(crashmc.Adversaries()[0], machine.TableI(kind), seed, budget)
 		if kills == nil {
 			return nil, err // the campaign could not run
 		}

@@ -59,20 +59,35 @@ type Cache[T any] struct {
 	Hits, Misses uint64
 }
 
-// New creates an empty cache with the given geometry.
+// Per-line state caps: the index presize, and how many entries and how
+// many sets' ways one slab chunk holds.
+const (
+	indexHintCap = 2048
+	entryChunk   = 64
+	setChunk     = 16
+)
+
+// New creates an empty cache with the given geometry. It allocates the set
+// table and nothing per line: Reserve sizes the per-line state for a run.
 func New[T any](geom Geometry) *Cache[T] {
-	// The index hint is capped: workloads rarely fill a large array, and a
-	// full-capacity map is megabytes of mostly-idle buckets per machine —
-	// past the cap, the map grows the usual doubling way (a few allocations).
-	hint := geom.SizeBytes / mem.LineSize
-	if hint > 2048 {
-		hint = 2048
-	}
 	return &Cache[T]{
 		geom:  geom,
 		sets:  make([][]*Entry[T], geom.Sets()),
-		index: make(map[mem.Line]*Entry[T], hint),
+		index: map[mem.Line]*Entry[T]{},
 	}
+}
+
+// Reserve sizes the per-line state for a run that touches at most n distinct
+// lines; call it before the first Insert. The index is presized for
+// min(capacity, 2048, n) lines — workloads rarely fill a large array, and a
+// full-capacity map is megabytes of mostly idle buckets per machine — and
+// the first slab chunks hold min(64, n) entries and min(16, n) sets, so a
+// run within the bound never carves another. Past it the cache still works:
+// the index grows the usual doubling way and the slabs refill.
+func (c *Cache[T]) Reserve(n int) {
+	c.index = make(map[mem.Line]*Entry[T], min(c.geom.SizeBytes/mem.LineSize, indexHintCap, n))
+	c.slab = make([]Entry[T], min(entryChunk, n))
+	c.waySlab = make([]*Entry[T], min(setChunk, n)*c.geom.Ways)
 }
 
 // setOf maps a line to its set.
@@ -115,14 +130,14 @@ func (c *Cache[T]) Insert(l mem.Line, data T) (entry, victim *Entry[T]) {
 		e.nextFree = nil
 	} else {
 		if len(c.slab) == 0 {
-			c.slab = make([]Entry[T], 64)
+			c.slab = make([]Entry[T], entryChunk)
 		}
 		e = &c.slab[0]
 		c.slab = c.slab[1:]
 	}
 	if set == nil {
 		if len(c.waySlab) < c.geom.Ways {
-			c.waySlab = make([]*Entry[T], 16*c.geom.Ways)
+			c.waySlab = make([]*Entry[T], setChunk*c.geom.Ways)
 		}
 		c.sets[si] = c.waySlab[:0:c.geom.Ways]
 		c.waySlab = c.waySlab[c.geom.Ways:]

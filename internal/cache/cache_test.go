@@ -107,26 +107,32 @@ func TestForEach(t *testing.T) {
 }
 
 // Property: occupancy never exceeds ways per set, and resident lines are
-// always found.
+// always found — also when Reserve sized the slabs for fewer lines than the
+// run touches (0: no Reserve).
 func TestPropertyOccupancyBound(t *testing.T) {
-	f := func(lines []uint16) bool {
-		c := New[struct{}](Geometry{SizeBytes: 64 * 32, Ways: 4}) // 8 sets
-		for _, l := range lines {
-			line := mem.Line(l % 256)
-			if c.Peek(line) == nil {
-				c.Insert(line, struct{}{})
+	for _, reserve := range []int{0, 1, 3} {
+		f := func(lines []uint16) bool {
+			c := New[struct{}](Geometry{SizeBytes: 64 * 32, Ways: 4}) // 8 sets
+			if reserve > 0 {
+				c.Reserve(reserve)
 			}
-			if c.SetOccupancy(line) > c.Ways() {
-				return false
+			for _, l := range lines {
+				line := mem.Line(l % 256)
+				if c.Peek(line) == nil {
+					c.Insert(line, struct{}{})
+				}
+				if c.SetOccupancy(line) > c.Ways() {
+					return false
+				}
+				if c.Peek(line) == nil {
+					return false
+				}
 			}
-			if c.Peek(line) == nil {
-				return false
-			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+		if err := quick.Check(f, nil); err != nil {
+			t.Fatalf("reserve %d: %v", reserve, err)
+		}
 	}
 }
 

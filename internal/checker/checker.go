@@ -42,7 +42,7 @@ func Check(cs *machine.CrashState) error {
 	if cs.System != machine.STW && cs.System != machine.TSOPER {
 		return fmt.Errorf("checker: %v does not claim strict TSO persistency", cs.System)
 	}
-	durable := map[uint64]*core.Group{}
+	durable := make(map[uint64]*core.Group, len(cs.DurableOrder))
 	for _, g := range cs.Groups {
 		if g.State() >= core.Durable {
 			durable[g.ID] = g
@@ -110,7 +110,7 @@ func checkDepClosure(cs *machine.CrashState, durable map[uint64]*core.Group) err
 // version in durability order (group atomicity + per-line FIFO), and lines
 // written only by non-durable groups are absent.
 func checkImage(cs *machine.CrashState, durable map[uint64]*core.Group) error {
-	expected := map[mem.Line]mem.Version{}
+	expected := make(map[mem.Line]mem.Version, len(cs.Image))
 	for _, g := range cs.DurableOrder {
 		if _, ok := durable[g.ID]; !ok {
 			return &Violation{

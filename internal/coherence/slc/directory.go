@@ -57,6 +57,12 @@ func (d *Directory) Instrument(bus *telemetry.Bus, now func() telemetry.Ticks) {
 	}
 }
 
+// How many lists and nodes one slab chunk holds.
+const (
+	listChunk = 128
+	nodeChunk = 256
+)
+
 // NewDirectory creates an empty directory.
 func NewDirectory(set *stats.Set) *Directory {
 	return &Directory{
@@ -66,12 +72,21 @@ func NewDirectory(set *stats.Set) *Directory {
 	}
 }
 
+// Reserve carves the first slab chunks for a run of at most n operations,
+// which touches at most n lines: min(128, n) lists and min(256, n) nodes.
+// Call it before the first List. A run that needs more refills the usual
+// way.
+func (d *Directory) Reserve(n int) {
+	d.listSlab = make([]List, min(listChunk, n))
+	d.nodeSlab = make([]Node, min(nodeChunk, n))
+}
+
 // List returns the sharing list for a line, creating it if needed.
 func (d *Directory) List(l mem.Line) *List {
 	lst, ok := d.lists[l]
 	if !ok {
 		if len(d.listSlab) == 0 {
-			d.listSlab = make([]List, 128)
+			d.listSlab = make([]List, listChunk)
 		}
 		lst = &d.listSlab[0]
 		d.listSlab = d.listSlab[1:]
@@ -86,7 +101,7 @@ func (d *Directory) List(l mem.Line) *List {
 // newNode carves a zeroed Node from the slab.
 func (d *Directory) newNode() *Node {
 	if len(d.nodeSlab) == 0 {
-		d.nodeSlab = make([]Node, 256)
+		d.nodeSlab = make([]Node, nodeChunk)
 	}
 	n := &d.nodeSlab[0]
 	d.nodeSlab = d.nodeSlab[1:]

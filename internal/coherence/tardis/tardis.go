@@ -82,11 +82,29 @@ func New(cfg Config, set *stats.Set) *State {
 		cfg:       cfg,
 		lease:     cfg.lease(),
 		pts:       make([]uint64, cfg.Caches),
-		lines:     make(map[mem.Line]*lineMeta, 1<<10),
+		lines:     map[mem.Line]*lineMeta{},
 		renewals:  set.Counter("tardis.renewals"),
 		leaseHits: set.Counter("tardis.lease_hits"),
 		tsJumps:   set.Counter("tardis.ts_jumps"),
 	}
+}
+
+// Per-line state caps: the line map's presize and how many lines one slab
+// chunk holds.
+const (
+	linesHintCap = 1 << 10
+	metaChunk    = 64
+)
+
+// Reserve sizes the per-line state for a run that touches at most n distinct
+// lines; call it before the first access. The line map is presized for
+// min(1024, n) lines and the first slab chunks hold min(64, n) lines. Past
+// either bound the state still works: the map grows and the slabs refill.
+func (s *State) Reserve(n int) {
+	k := min(metaChunk, n)
+	s.lines = make(map[mem.Line]*lineMeta, min(linesHintCap, n))
+	s.metaSlab = make([]lineMeta, k)
+	s.leaseSlab = make([]uint64, k*s.cfg.Caches)
 }
 
 // PTS returns cache c's program timestamp.
@@ -112,12 +130,12 @@ func (s *State) meta(l mem.Line) *lineMeta {
 	m, ok := s.lines[l]
 	if !ok {
 		if len(s.metaSlab) == 0 {
-			s.metaSlab = make([]lineMeta, 64)
+			s.metaSlab = make([]lineMeta, metaChunk)
 		}
 		m = &s.metaSlab[0]
 		s.metaSlab = s.metaSlab[1:]
 		if len(s.leaseSlab) < s.cfg.Caches {
-			s.leaseSlab = make([]uint64, 64*s.cfg.Caches)
+			s.leaseSlab = make([]uint64, metaChunk*s.cfg.Caches)
 		}
 		m.leases = s.leaseSlab[:s.cfg.Caches:s.cfg.Caches]
 		s.leaseSlab = s.leaseSlab[s.cfg.Caches:]

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -15,8 +16,9 @@ import (
 
 // Strategy names how a campaign chooses its crash points. There is one:
 // StrategyEvents harvests up to Points persistency-transition cycles of an
-// instrumented run (plus their successors) and tops up with a seeded random
-// sweep over the run's horizon when the harvest is smaller.
+// instrumented run (plus their successors) and, when the harvest is
+// smaller, tops up with distinct seeded random cycles of the run's horizon
+// that the harvest missed.
 type Strategy uint8
 
 // StrategyEvents is the zero Strategy and the only one Run accepts.
@@ -255,15 +257,18 @@ func splitChunks(idxs []int, n int) [][]int {
 }
 
 // resolvePoints harvests up to Points transition cycles of the tuple's
-// workload and tops up with seeded random cycles over its horizon. idx
-// decorrelates the random streams of different tuples.
+// workload and tops up with distinct seeded random cycles of its horizon
+// that the harvest missed, returning the union sorted; a run with fewer
+// cycles than Points crashes at each of them once. idx decorrelates the
+// random streams of different tuples.
 func (spec Spec) resolvePoints(tp *tuple, idx int64) ([]uint64, error) {
 	points, horizon, err := HarvestWorkload(tp.cfg, tp.workload(tp.cfg, spec.Seed), spec.Points)
 	if err != nil {
 		return nil, err
 	}
 	if missing := spec.Points - len(points); missing > 0 {
-		points = append(points, RandomPoints(horizon, missing, spec.Seed+idx*7919)...)
+		points = append(points, topUp(points, horizon, missing, spec.Seed+idx*7919)...)
+		slices.Sort(points)
 	}
 	return points, nil
 }

@@ -124,6 +124,77 @@ func TestPointGenerators(t *testing.T) {
 	}
 }
 
+// TestTopUpDrawsDistinctCycles pins the top-up of a short harvest: the
+// campaign crashes at the harvested cycles plus distinct cycles of [1,
+// horizon] the harvest missed, each once and in ascending order, and a run
+// with fewer cycles than Points crashes at every cycle once.
+func TestTopUpDrawsDistinctCycles(t *testing.T) {
+	p := Adversaries()[0].Scale(0.01)
+	cfg := func(k machine.SystemKind) machine.Config {
+		c := machine.TableI(k)
+		c.Cores = 2
+		return c
+	}
+	harvested, horizon := harvest(t, p, cfg(machine.TSOPER), 42, 0)
+	for _, tc := range []struct {
+		name   string
+		points int
+		want   int  // injections
+		all    bool // every cycle of [1, horizon] crashes
+	}{
+		{"short harvest", len(harvested) + 200, len(harvested) + 200, false},
+		// Every cycle of [1, horizon], plus harvested successors past it.
+		{"short horizon", int(horizon) + 50, int(horizon) + countAbove(harvested, horizon), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			report, err := Run(Spec{
+				Benchmarks: []trace.Profile{p},
+				Systems:    []machine.SystemKind{machine.TSOPER},
+				Seed:       42,
+				Points:     tc.points,
+				Detail:     true,
+				Config:     cfg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if report.Injections != tc.want || len(report.Details) != tc.want {
+				t.Fatalf("%d injections (%d details), want %d", report.Injections, len(report.Details), tc.want)
+			}
+			crashed := map[uint64]bool{}
+			for i, inj := range report.Details {
+				if i > 0 && inj.At <= report.Details[i-1].At {
+					t.Fatalf("crash %d at cycle %d after cycle %d: not distinct and ascending", i, inj.At, report.Details[i-1].At)
+				}
+				crashed[inj.At] = true
+			}
+			for _, at := range harvested {
+				if !crashed[at] {
+					t.Fatalf("harvested cycle %d never crashed", at)
+				}
+			}
+			if tc.all {
+				for at := uint64(1); at <= horizon; at++ {
+					if !crashed[at] {
+						t.Fatalf("cycle %d of the %d-cycle horizon never crashed", at, horizon)
+					}
+				}
+			}
+		})
+	}
+}
+
+// countAbove counts the cycles after the horizon.
+func countAbove(cycles []uint64, horizon uint64) int {
+	n := 0
+	for _, at := range cycles {
+		if at > horizon {
+			n++
+		}
+	}
+	return n
+}
+
 func TestCampaignValidation(t *testing.T) {
 	if _, err := Run(Spec{}); err == nil {
 		t.Fatal("empty spec accepted")

@@ -36,9 +36,11 @@ type Kill struct {
 // returns no kills. A fault the checker accepts (or misclassifies) is a
 // surviving mutant and an error; a fault that never found a target across
 // all points is also an error — the campaign was too weak to even express
-// the bug.
-func Mutate(p trace.Profile, kind machine.SystemKind, cfg machine.Config, seed int64, budget int) ([]Kill, error) {
-	harvested, horizon, err := HarvestWorkload(cfg, trace.Generate(p, cfg.Cores, seed), budget)
+// the bug. The machine runs cfg.System; every run shares the one generated
+// workload, which no machine mutates.
+func Mutate(p trace.Profile, cfg machine.Config, seed int64, budget int) ([]Kill, error) {
+	w := trace.Generate(p, cfg.Cores, seed)
+	harvested, horizon, err := HarvestWorkload(cfg, w, budget)
 	if err != nil {
 		return nil, fmt.Errorf("crashmc: %w", err)
 	}
@@ -57,7 +59,6 @@ func Mutate(p trace.Profile, kind machine.SystemKind, cfg machine.Config, seed i
 			if err != nil {
 				return nil, fmt.Errorf("crashmc: %w", err)
 			}
-			w := trace.Generate(p, fcfg.Cores, seed)
 			cs := m.RunWithCrash(w, sim.Time(at))
 			if !cs.FaultApplied {
 				continue

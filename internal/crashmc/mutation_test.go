@@ -14,7 +14,7 @@ func TestMutationKillsAllFaults(t *testing.T) {
 	for _, kind := range []machine.SystemKind{machine.TSOPER, machine.STW} {
 		t.Run(kind.String(), func(t *testing.T) {
 			p := Adversaries()[0] // contended hot lines: every fault finds targets
-			kills, err := Mutate(p, kind, machine.TableI(kind), 42, 60)
+			kills, err := Mutate(p, machine.TableI(kind), 42, 60)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -12,11 +12,13 @@ import (
 // HarvestWorkload runs one probed simulation of the workload and returns
 // (a) the interesting crash cycles — every persistency-transition cycle
 // plus its immediate successor, deduplicated and sorted — and (b) the
-// horizon, the cycle at which the end-of-run drain completed (random sweeps
-// draw from [1, horizon]). When more than budget cycles are harvested they
-// are thinned by an even stride so coverage stays spread across the run
-// (budget <= 0 keeps everything). Configuration errors and wedged runs —
-// watchdog stalls, deadlocks, lost persists — come back as errors.
+// horizon, the cycle at which the end-of-run drain completed (the top-up
+// draws from [1, horizon]); the machine's clock stops there, so the horizon
+// is Results.DrainCycles without building the Results. When more than
+// budget cycles are harvested they are thinned by an even stride so
+// coverage stays spread across the run (budget <= 0 keeps everything).
+// Configuration errors and wedged runs — watchdog stalls, deadlocks, lost
+// persists — come back as errors.
 func HarvestWorkload(cfg machine.Config, w *trace.Workload, budget int) ([]uint64, uint64, error) {
 	seen := map[uint64]bool{}
 	cfg.Probe = func(e machine.Event) {
@@ -27,8 +29,8 @@ func HarvestWorkload(cfg machine.Config, w *trace.Workload, budget int) ([]uint6
 	if err != nil {
 		return nil, 0, err
 	}
-	res, err := m.RunChecked(w)
-	if err != nil {
+	m.Start(w)
+	if _, err := m.Advance(sim.MaxTime); err != nil {
 		return nil, 0, err
 	}
 
@@ -46,7 +48,7 @@ func HarvestWorkload(cfg machine.Config, w *trace.Workload, budget int) ([]uint6
 		}
 		points = thinned
 	}
-	return points, uint64(res.DrainCycles), nil
+	return points, uint64(m.Now()), nil
 }
 
 // Sweep crashes the workload at each of an ascending run of cycles and
@@ -80,6 +82,40 @@ func Replay(cfg machine.Config, w *trace.Workload, points []uint64, visit func(i
 		visit(i, m.RunWithCrash(w, sim.Time(at)))
 	}
 	return nil
+}
+
+// topUp returns up to n distinct seeded random cycles in [1, horizon] that
+// are not in taken, unsorted: RandomPoints' draws for the seed with every
+// taken or repeated cycle skipped. When no more than n cycles are free it
+// returns all of them.
+func topUp(taken []uint64, horizon uint64, n int, seed int64) []uint64 {
+	used := make(map[uint64]bool, len(taken))
+	free := horizon
+	for _, at := range taken {
+		if at >= 1 && at <= horizon && !used[at] {
+			free--
+		}
+		used[at] = true
+	}
+	if free <= uint64(n) {
+		out := make([]uint64, 0, free)
+		for at := uint64(1); at <= horizon; at++ {
+			if !used[at] {
+				out = append(out, at)
+			}
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]uint64, 0, n)
+	for len(out) < n {
+		at := 1 + uint64(rng.Int63n(int64(horizon)))
+		if !used[at] {
+			used[at] = true
+			out = append(out, at)
+		}
+	}
+	return out
 }
 
 // RandomPoints returns n seeded random crash cycles in [1, horizon],

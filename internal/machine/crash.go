@@ -100,12 +100,13 @@ func (m *Machine) CaptureCrashState() *CrashState {
 
 // crashState builds the post-crash state at the current cycle over the
 // given views of the group journal, durable order and per-line store order:
-// it recovers the image and arms the configured CrashFault.
+// it recovers the image and arms the configured CrashFault. The image is
+// presized: every line it recovers has a version log.
 func (m *Machine) crashState(groups, durable []*core.Group, lineOrder map[mem.Line][]mem.Version) *CrashState {
 	cs := &CrashState{
 		System:       m.cfg.System,
 		At:           m.engine.Now(),
-		Image:        make(map[mem.Line]mem.Version),
+		Image:        make(map[mem.Line]mem.Version, len(lineOrder)),
 		Groups:       groups,
 		DurableOrder: durable,
 		LineOrder:    lineOrder,

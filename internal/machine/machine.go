@@ -107,19 +107,18 @@ type privCache struct {
 	evbuf *cache.EvictBuffer[*slc.Node]
 }
 
-// New constructs a machine for the configuration.
+// New constructs a machine for the configuration. It allocates no per-line
+// state: Start sizes that from the workload.
 func New(cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	m := &Machine{
-		cfg:       cfg,
-		engine:    sim.NewEngineWithScheduler(cfg.Scheduler),
-		set:       stats.NewSet(),
-		waiters:   make(map[waitKey][]func()),
-		lineOrder: make(map[mem.Line][]mem.Version, 1<<11),
-		current:   make(map[mem.Line]mem.Version, 1<<11),
-		timeline:  &stats.Series{Name: "region_size"},
+		cfg:      cfg,
+		engine:   sim.NewEngineWithScheduler(cfg.Scheduler),
+		set:      stats.NewSet(),
+		waiters:  make(map[waitKey][]func()),
+		timeline: &stats.Series{Name: "region_size"},
 	}
 	m.initTelemetry()
 	m.net = noc.New(m.engine, cfg.NoC, m.set)
@@ -220,6 +219,11 @@ func (m *Machine) Start(w *trace.Workload) {
 		panic("machine: Start called twice")
 	}
 	m.workload = w
+	ops := 0
+	for _, c := range w.Cores {
+		ops += len(c)
+	}
+	m.reserve(ops)
 	for i, ops := range w.Cores {
 		c := newCoreUnit(m, i, ops)
 		m.cores = append(m.cores, c)
@@ -228,6 +232,32 @@ func (m *Machine) Start(w *trace.Workload) {
 	}
 	m.armWatchdog()
 	m.phase = phaseExec
+}
+
+// Per-line state caps: the presize of the per-line maps, how many lines'
+// version logs one verSlab chunk holds, and each log's initial capacity.
+const (
+	lineHintCap = 1 << 11
+	verChunk    = 256
+	verLogCap   = 16
+)
+
+// reserve builds the per-line state for a workload of n ops, which touches
+// at most n distinct lines: every per-line map and first slab chunk is
+// sized min(its cap, n). A workload of 2,048 ops or more gets the caps, and
+// a litmus test's few ops get a few KB.
+func (m *Machine) reserve(n int) {
+	m.lineOrder = make(map[mem.Line][]mem.Version, min(lineHintCap, n))
+	m.current = make(map[mem.Line]mem.Version, min(lineHintCap, n))
+	m.verSlab = make([]mem.Version, min(verChunk, n)*verLogCap)
+	m.llc.Reserve(n)
+	for _, pc := range m.priv {
+		pc.arr.Reserve(n)
+	}
+	m.dir.Reserve(n)
+	if m.tardis != nil {
+		m.tardis.Reserve(n)
+	}
 }
 
 // Advance dispatches events with time <= limit, moving through the run's

@@ -77,11 +77,11 @@ func (m *Machine) recordStore(line mem.Line, ver mem.Version) {
 		// lines never outgrow it, so this collapses one allocation per touched
 		// line into one per 256 lines. A log that does outgrow its 16 slots
 		// escapes to the heap via append's usual doubling.
-		if len(m.verSlab) < 16 {
-			m.verSlab = make([]mem.Version, 4096)
+		if len(m.verSlab) < verLogCap {
+			m.verSlab = make([]mem.Version, verChunk*verLogCap)
 		}
-		s = m.verSlab[0:0:16]
-		m.verSlab = m.verSlab[16:]
+		s = m.verSlab[0:0:verLogCap]
+		m.verSlab = m.verSlab[verLogCap:]
 	}
 	m.lineOrder[line] = append(s, ver)
 	m.current[line] = ver
