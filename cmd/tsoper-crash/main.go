@@ -17,19 +17,20 @@
 //	    checker mutation testing: every injected persistency fault must
 //	    be rejected with exactly the rule it is engineered to trip
 //	tsoper-crash -bench radix -system tsoper,stw -faults storm,noc-lossy
-//	    the resilience campaign: each cell runs clean, then under each
-//	    runtime fault preset end to end and cut at -crashes points
-//	    (default 10); every fault must recover, the stall watchdog must
-//	    stay silent, and the checker must accept every recovered state
+//	    a sweep with a fault-plan axis: each cell also runs under each
+//	    runtime fault preset, cut at -crashes points (default 10); every
+//	    fault must recover, the stall watchdog must stay silent, and the
+//	    checker must accept every recovered state
 //	tsoper-crash -campaign resilience -parallel 4 -json results/faults.json
 //	    the CI resilience campaign: two adversaries x tsoper x every preset
 //
-// The sweep and smoke modes crash at harvested persistency-transition
-// cycles, topped up with distinct seeded random cycles the harvest missed,
-// and fork each crash point from an incrementally advanced prefix machine.
-// -protocol selects the coherence backend (slc, mesi, or tardis) for those
-// modes. Each mode reads only the flags in its modeFlags row; setting any
-// other flag, or passing a positional argument, is a usage error.
+// Every mode but mutation is one crashmc.Run campaign: it crashes at
+// harvested persistency-transition cycles, topped up with distinct seeded
+// random cycles the harvest missed, and forks each crash point from an
+// incrementally advanced prefix machine. -protocol selects the coherence
+// backend (slc, mesi, or tardis) for the sweeps and the smoke campaign.
+// Each mode reads only the flags in its modeFlags row; setting any other
+// flag, or passing a positional argument, is a usage error.
 //
 // Exit status: 0 clean, 1 violations, surviving mutants, stalls or lost
 // persists, 2 usage error.
@@ -47,7 +48,6 @@ import (
 	"repro/internal/crashmc"
 	"repro/internal/faultplan"
 	"repro/internal/machine"
-	"repro/internal/program"
 	"repro/internal/trace"
 	"repro/tsoper"
 )
@@ -72,12 +72,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	bench := fs.String("bench", "radix", "comma-separated benchmark names")
 	progFlag := fs.String("program", "", "comma-separated library programs (or JSON files) to crash-sweep instead of -bench")
 	system := fs.String("system", "tsoper", "comma-separated strict systems: tsoper, stw")
-	crashes := fs.Int("crashes", 40, "crash points per benchmark x system tuple, or per resilience cell (> 0; smoke defaults to 50, resilience to 10)")
+	crashes := fs.Int("crashes", 40, "crash points per tuple (> 0; smoke defaults to 50, -faults sweeps and the resilience campaign to 10)")
 	scale := fs.Float64("scale", 0.3, "workload scale factor (> 0)")
 	seed := fs.Int64("seed", 42, "workload seed")
 	protoFlag := fs.String("protocol", "slc", "coherence protocol: slc, mesi, or tardis")
 	campaign := fs.String("campaign", "", "predefined campaign on its own grid: smoke, mutation, or resilience")
-	faults := fs.String("faults", "", "comma-separated fault presets to run the resilience campaign under, over the -bench x -system grid: "+
+	faults := fs.String("faults", "", "comma-separated fault presets each sweep cell also runs under: "+
 		strings.Join(faultplan.PresetNames(), ", "))
 	parallel := fs.Int("parallel", 0, "worker count (0 = GOMAXPROCS)")
 	jsonPath := fs.String("json", "", "write the campaign report to this path as JSON")
@@ -93,7 +93,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if fs.NArg() > 0 {
 		return usage(fmt.Errorf("unexpected arguments: %s", strings.Join(fs.Args(), " ")))
 	}
-	mode, err := selectMode(*campaign, *faults, *progFlag)
+	mode, err := selectMode(*campaign, *progFlag)
 	if err != nil {
 		return usage(err)
 	}
@@ -109,11 +109,11 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 
 	if !set["crashes"] {
-		switch mode {
-		case "resilience sweep", "resilience campaign":
-			*crashes = 10
-		case "smoke campaign":
+		switch {
+		case mode == "smoke campaign":
 			*crashes = 50 // x 2 adversaries x 2 systems = 200 injections
+		case mode == "resilience campaign", *faults != "":
+			*crashes = 10
 		}
 	}
 	proto, perr := tsoper.ParseProtocol(*protoFlag)
@@ -124,16 +124,27 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return usage(fmt.Errorf("-scale must be positive, got %g", *scale))
 	case perr != nil:
 		return usage(perr)
+	case *shrink && *faults != "":
+		return usage(errors.New("-shrink does not apply to a sweep under -faults: a shrunk failure carries no fault schedule"))
 	}
 
 	var report *crashmc.Report
 	switch mode {
-	case "resilience sweep", "resilience campaign":
-		spec, err := resilienceSpec(*bench, *system, *faults, *crashes, *scale, *seed, *campaign, *parallel)
-		if err != nil {
-			return usage(err)
+	case "resilience campaign":
+		report, err = crashmc.Run(crashmc.Spec{
+			Name:       "resilience",
+			Benchmarks: crashmc.Adversaries()[:2],
+			Systems:    []machine.SystemKind{machine.TSOPER},
+			Schedules:  faultplan.Presets(),
+			Scale:      *scale,
+			Seed:       *seed,
+			Points:     *crashes,
+			Parallel:   *parallel,
+		})
+		if report != nil {
+			printTuples(stdout, report)
+			fmt.Fprintf(stdout, "\n%s\n", report.Summary())
 		}
-		return runResilience(stdout, stderr, spec, *jsonPath)
 	case "smoke campaign":
 		report, err = crashmc.Run(crashmc.Spec{
 			Name:       "smoke",
@@ -151,8 +162,16 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	case "mutation campaign":
 		report, err = runMutation(*seed, *crashes)
 	default:
-		report, err = runSweep(stdout, *bench, *progFlag, *system, proto, *crashes,
-			*scale, *seed, *parallel, *shrink)
+		report, err = runSweep(stdout, *bench, *progFlag, *system, *faults, crashmc.Spec{
+			Name:      "sweep",
+			Scale:     *scale,
+			Seed:      *seed,
+			Points:    *crashes,
+			Parallel:  *parallel,
+			Shrink:    *shrink,
+			Detail:    true,
+			Coherence: proto,
+		})
 	}
 	var uerr usageError
 	if errors.As(err, &uerr) {
@@ -172,7 +191,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 	}
 	for _, inj := range report.Violations {
-		fmt.Fprintf(stderr, "VIOLATION %s/%s @%d: %s\n", inj.Benchmark, inj.System, inj.At, inj.Violation)
+		fmt.Fprintf(stderr, "VIOLATION %s @%d: %s\n", cell(inj.Benchmark, inj.System, inj.Schedule), inj.At, inj.Violation)
 		if inj.Shrunk != nil {
 			fmt.Fprintf(stderr, "  shrunk: %s\n", inj.Shrunk)
 		}
@@ -194,24 +213,21 @@ func run(argv []string, stdout, stderr io.Writer) int {
 // modeFlags lists, for each mode, the flags it reads. run rejects any set
 // flag outside the selected mode's row, so no mode ignores a flag silently.
 var modeFlags = map[string][]string{
-	"sweep":               {"bench", "system", "crashes", "scale", "seed", "protocol", "parallel", "json", "shrink"},
-	"program sweep":       {"program", "system", "crashes", "seed", "protocol", "parallel", "json", "shrink"},
+	"sweep":               {"bench", "system", "crashes", "scale", "seed", "protocol", "faults", "parallel", "json", "shrink"},
+	"program sweep":       {"program", "system", "crashes", "seed", "protocol", "faults", "parallel", "json", "shrink"},
 	"smoke campaign":      {"campaign", "crashes", "seed", "protocol", "parallel", "json", "shrink"},
 	"mutation campaign":   {"campaign", "crashes", "seed", "json"},
-	"resilience sweep":    {"faults", "bench", "system", "crashes", "scale", "seed", "parallel", "json"},
 	"resilience campaign": {"campaign", "crashes", "scale", "seed", "parallel", "json"},
 }
 
 // selectMode names the mode the flags select, in precedence order:
-// -campaign, -faults, -program, else the benchmark sweep.
-func selectMode(campaign, faults, programs string) (string, error) {
+// -campaign, -program, else the benchmark sweep.
+func selectMode(campaign, programs string) (string, error) {
 	switch {
 	case campaign == "smoke", campaign == "mutation", campaign == "resilience":
 		return campaign + " campaign", nil
 	case campaign != "":
 		return "", usagef("unknown campaign %q (want smoke, mutation, or resilience)", campaign)
-	case faults != "":
-		return "resilience sweep", nil
 	case programs != "":
 		return "program sweep", nil
 	}
@@ -252,43 +268,47 @@ func parseSystems(names string) ([]machine.SystemKind, error) {
 	return kinds, nil
 }
 
+// parseSchedules resolves comma-separated fault preset names ("" is none).
+func parseSchedules(names string) ([]faultplan.Spec, error) {
+	if names == "" {
+		return nil, nil
+	}
+	var schedules []faultplan.Spec
+	for _, name := range strings.Split(names, ",") {
+		name = strings.TrimSpace(name)
+		preset, ok := faultplan.Preset(name)
+		if !ok {
+			return nil, usagef("unknown fault preset %q (presets: %s)", name, strings.Join(faultplan.PresetNames(), ", "))
+		}
+		schedules = append(schedules, preset)
+	}
+	return schedules, nil
+}
+
 // runSweep is the legacy single-cell mode, generalized to comma-separated
-// benchmark/system lists (or workload-VM programs), with the
-// per-crash-point output lines preserved.
-func runSweep(stdout io.Writer, benches, programs, systems string, proto tsoper.Protocol, crashes int, scale float64, seed int64, parallel int, shrink bool) (*crashmc.Report, error) {
-	var profiles []trace.Profile
-	var progs []*program.Program
+// benchmark/system lists (or workload-VM programs) and fault presets, with
+// the per-crash-point output lines preserved. spec carries the run
+// settings; runSweep fills in its grid.
+func runSweep(stdout io.Writer, benches, programs, systems, faults string, spec crashmc.Spec) (*crashmc.Report, error) {
+	var err error
 	if programs != "" {
 		for _, name := range strings.Split(programs, ",") {
 			p, err := tsoper.LoadProgram(strings.TrimSpace(name))
 			if err != nil {
 				return nil, usageError{err}
 			}
-			progs = append(progs, p)
+			spec.Programs = append(spec.Programs, p)
 		}
-	} else {
-		var err error
-		if profiles, err = parseBenches(benches); err != nil {
-			return nil, err
-		}
-	}
-	kinds, err := parseSystems(systems)
-	if err != nil {
+	} else if spec.Benchmarks, err = parseBenches(benches); err != nil {
 		return nil, err
 	}
-	report, err := crashmc.Run(crashmc.Spec{
-		Name:       "sweep",
-		Benchmarks: profiles,
-		Programs:   progs,
-		Systems:    kinds,
-		Scale:      scale,
-		Seed:       seed,
-		Points:     crashes,
-		Parallel:   parallel,
-		Shrink:     shrink,
-		Detail:     true,
-		Coherence:  proto,
-	})
+	if spec.Systems, err = parseSystems(systems); err != nil {
+		return nil, err
+	}
+	if spec.Schedules, err = parseSchedules(faults); err != nil {
+		return nil, err
+	}
+	report, err := crashmc.Run(spec)
 	if err != nil {
 		return report, err
 	}
@@ -297,71 +317,40 @@ func runSweep(stdout io.Writer, benches, programs, systems string, proto tsoper.
 		if inj.Violation != "" {
 			status = inj.Violation
 		}
-		fmt.Fprintf(stdout, "%s/%s crash @%8d: %3d/%3d groups durable — %s\n",
-			inj.Benchmark, inj.System, inj.At, inj.Durable, inj.Groups, status)
+		fmt.Fprintf(stdout, "%s crash @%8d: %3d/%3d groups durable — %s\n",
+			cell(inj.Benchmark, inj.System, inj.Schedule), inj.At, inj.Durable, inj.Groups, status)
+	}
+	if len(spec.Schedules) > 0 {
+		fmt.Fprintln(stdout)
+		printTuples(stdout, report)
 	}
 	fmt.Fprintf(stdout, "\n%s\n", report.Summary())
 	return report, nil
 }
 
-// resilienceSpec builds the resilience campaign's spec: -campaign
-// resilience is the CI grid, and -faults grids -bench x -system x the named
-// presets.
-func resilienceSpec(bench, system, faults string, points int, scale float64,
-	seed int64, campaign string, parallel int) (spec crashmc.ResilienceSpec, err error) {
-	spec = crashmc.ResilienceSpec{Name: "sweep", Scale: scale, Seed: seed, Points: points, Parallel: parallel}
-	if campaign == "resilience" {
-		spec.Name = "smoke"
-		spec.Benchmarks = crashmc.Adversaries()[:2]
-		spec.Systems = []machine.SystemKind{machine.TSOPER}
-		spec.Schedules = faultplan.Presets()
-		return spec, nil
-	}
-	if spec.Benchmarks, err = parseBenches(bench); err != nil {
-		return spec, err
-	}
-	if spec.Systems, err = parseSystems(system); err != nil {
-		return spec, err
-	}
-	for _, name := range strings.Split(faults, ",") {
-		name = strings.TrimSpace(name)
-		preset, ok := faultplan.Preset(name)
-		if !ok {
-			return spec, usagef("unknown fault preset %q (presets: %s)", name, strings.Join(faultplan.PresetNames(), ", "))
+// printTuples prints one line per tuple of a campaign with a fault-plan
+// axis: its harvest run's drain horizon and, under a plan, the overhead
+// against the fault-free tuple and the fault ledger.
+func printTuples(w io.Writer, report *crashmc.Report) {
+	for _, ts := range report.Tuples {
+		fmt.Fprintf(w, "%-36s %8d cycles", cell(ts.Benchmark, ts.System, ts.Schedule), ts.DrainCycles)
+		if ts.Counts != nil {
+			fmt.Fprintf(w, " (%+6.1f%%), %4d faults", ts.OverheadPct, ts.Counts.Injected())
 		}
-		spec.Schedules = append(spec.Schedules, preset)
+		fmt.Fprintf(w, ", %d points (%d partial)", ts.Points, ts.Partial)
+		if ts.Counts != nil {
+			fmt.Fprintf(w, ": %s", ts.Counts)
+		}
+		fmt.Fprintln(w)
 	}
-	return spec, nil
 }
 
-// runResilience runs the resilience campaign, printing one line per cell
-// and every incident, and returns the exit status.
-func runResilience(stdout, stderr io.Writer, spec crashmc.ResilienceSpec, jsonPath string) int {
-	report, err := crashmc.RunResilience(spec)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
+// cell names a tuple: benchmark/system, then /schedule under a fault plan.
+func cell(bench, system, schedule string) string {
+	if schedule == "" {
+		return bench + "/" + system
 	}
-	for _, c := range report.Cells {
-		fmt.Fprintf(stdout, "%s/%s under %-14s %8d -> %8d cycles (%+.1f%%), %4d faults, %d points (%d partial): %s\n",
-			c.Benchmark, c.System, c.Schedule, c.BaselineCycles, c.FaultedCycles, c.OverheadPct,
-			c.Counts.Injected(), c.Points, c.Partial, c.Counts)
-		for _, inc := range c.Incidents {
-			fmt.Fprintf(stderr, "INCIDENT %s/%s/%s @%d [%s]: %s\n",
-				inc.Benchmark, inc.System, inc.Schedule, inc.At, inc.Kind, inc.Detail)
-		}
-	}
-	fmt.Fprintf(stdout, "\n%s\n", report.Summary())
-	if jsonPath != "" {
-		if err := report.WriteJSONFile(jsonPath); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-	}
-	if !report.Clean() {
-		return 1
-	}
-	return 0
+	return bench + "/" + system + "/" + schedule
 }
 
 // runMutation proves every injected persistency fault is killed, on both

@@ -40,10 +40,8 @@ func TestExitCodes(t *testing.T) {
 		{name: "mutation with scale", argv: []string{"-campaign", "mutation", "-scale", "0.1"}, want: 2, stderr: "-scale does not apply to the mutation campaign"},
 		{name: "mutation with protocol", argv: []string{"-campaign", "mutation", "-protocol", "tardis"}, want: 2, stderr: "-protocol does not apply to the mutation campaign"},
 		{name: "program with scale", argv: []string{"-program", "producer-consumer-ring", "-scale", "0.1"}, want: 2, stderr: "-scale does not apply to the program sweep"},
-		// Resilience mode: -faults or -campaign resilience.
+		// Fault presets: -faults on a sweep, or -campaign resilience.
 		{name: "unknown fault preset", argv: []string{"-faults", "blizzard"}, want: 2, stderr: "unknown fault preset"},
-		{name: "faults with program", argv: []string{"-faults", "storm", "-program", "producer-consumer-ring"}, want: 2, stderr: "-program does not apply"},
-		{name: "faults with protocol", argv: []string{"-faults", "storm", "-protocol", "slc"}, want: 2, stderr: "-protocol does not apply"},
 		{name: "faults with shrink", argv: []string{"-faults", "storm", "-shrink"}, want: 2, stderr: "-shrink does not apply"},
 		{name: "faults with campaign", argv: []string{"-faults", "storm", "-campaign", "smoke"}, want: 2, stderr: "-faults does not apply to the smoke campaign"},
 		{name: "resilience campaign with faults", argv: []string{"-campaign", "resilience", "-faults", "storm"}, want: 2, stderr: "-faults does not apply to the resilience campaign"},
@@ -81,6 +79,17 @@ func TestExitCodes(t *testing.T) {
 		{
 			name: "clean resilience cell",
 			argv: []string{"-bench", "radix", "-system", "tsoper", "-faults", "nvm-transient", "-crashes", "1", "-scale", "0.05"},
+			want: 0, slow: true,
+		},
+		// -faults is a flag of both sweeps, on every coherence backend.
+		{
+			name: "faults with program",
+			argv: []string{"-faults", "storm", "-program", "producer-consumer-ring", "-crashes", "1"},
+			want: 0, slow: true,
+		},
+		{
+			name: "faults with protocol",
+			argv: []string{"-faults", "storm", "-protocol", "tardis", "-crashes", "1", "-scale", "0.05"},
 			want: 0, slow: true,
 		},
 	}
@@ -138,9 +147,9 @@ func TestMutationCountsInjectionsRun(t *testing.T) {
 	}
 }
 
-// TestResilienceDefaults pins the resilience mode's defaults: without
-// -crashes, each cell takes 10 crash points, and a -faults grid is the
-// "sweep" report over -bench x -system.
+// TestResilienceDefaults pins the -faults sweep's defaults: without
+// -crashes, each tuple takes 10 crash points, and the report is the "sweep"
+// over -bench x -system, each cell fault-free and then under each preset.
 func TestResilienceDefaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real campaign")
@@ -149,33 +158,56 @@ func TestResilienceDefaults(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	argv := []string{"-faults", "nvm-transient,noc-lossy", "-scale", "0.05", "-json", out}
 	if got := run(argv, &stdout, &stderr); got != 0 {
-		t.Fatalf("resilience sweep = %d\nstderr: %s", got, stderr.String())
+		t.Fatalf("faulted sweep = %d\nstderr: %s", got, stderr.String())
 	}
 	body, err := os.ReadFile(out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var report struct {
-		Name        string  `json:"name"`
-		Scale       float64 `json:"scale"`
-		CrashPoints int     `json:"crash_points"`
-		Cells       []struct {
+		Name       string  `json:"name"`
+		Scale      float64 `json:"scale"`
+		Injections int     `json:"injections"`
+		Tuples     []struct {
 			Benchmark string `json:"benchmark"`
 			System    string `json:"system"`
 			Schedule  string `json:"schedule"`
 			Points    int    `json:"points"`
-		} `json:"cells"`
+		} `json:"tuples"`
 	}
 	if err := json.Unmarshal(body, &report); err != nil {
 		t.Fatal(err)
 	}
-	if report.Name != "sweep" || report.Scale != 0.05 || report.CrashPoints != 20 || len(report.Cells) != 2 {
-		t.Fatalf("report %+v, want sweep at scale 0.05 with 2 cells of 10 points", report)
+	if report.Name != "sweep" || report.Scale != 0.05 || report.Injections != 30 || len(report.Tuples) != 3 {
+		t.Fatalf("report %+v, want sweep at scale 0.05 with 3 tuples of 10 points", report)
 	}
-	for i, want := range []string{"nvm-transient", "noc-lossy"} {
-		c := report.Cells[i]
-		if c.Benchmark != "radix" || c.System != "tsoper" || c.Schedule != want || c.Points != 10 {
-			t.Errorf("cell %d = %+v, want radix/tsoper under %s with 10 points", i, c, want)
+	for i, want := range []string{"", "nvm-transient", "noc-lossy"} {
+		ts := report.Tuples[i]
+		if ts.Benchmark != "radix" || ts.System != "tsoper" || ts.Schedule != want || ts.Points != 10 {
+			t.Errorf("tuple %d = %+v, want radix/tsoper under %q with 10 points", i, ts, want)
 		}
+	}
+}
+
+// TestResilienceCampaignMatchesCommitted regenerates the resilience
+// campaign's report and holds it byte for byte to the committed
+// results/faults.json.
+func TestResilienceCampaignMatchesCommitted(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "faults.json")
+	var stdout, stderr bytes.Buffer
+	if got := run([]string{"-campaign", "resilience", "-parallel", "4", "-json", out}, &stdout, &stderr); got != 0 {
+		t.Fatalf("resilience campaign = %d\nstderr: %s", got, stderr.String())
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "results", "faults.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("the resilience campaign's report differs from results/faults.json; regenerate it with\n" +
+			"  go run ./cmd/tsoper-crash -campaign resilience -parallel 4 -json results/faults.json")
 	}
 }

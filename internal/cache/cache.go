@@ -207,10 +207,3 @@ func (c *Cache[T]) SetOccupancy(l mem.Line) int { return len(c.sets[c.setOf(l)])
 
 // Ways returns the associativity.
 func (c *Cache[T]) Ways() int { return c.geom.Ways }
-
-// ForEach visits every resident entry (iteration order unspecified).
-func (c *Cache[T]) ForEach(fn func(*Entry[T])) {
-	for _, e := range c.index {
-		fn(e)
-	}
-}

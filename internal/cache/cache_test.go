@@ -94,18 +94,6 @@ func TestPeekDoesNotTouchLRU(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	c := New[int](Geometry{SizeBytes: 64 * 8, Ways: 8})
-	for i := 0; i < 5; i++ {
-		c.Insert(mem.Line(i), i)
-	}
-	sum := 0
-	c.ForEach(func(e *Entry[int]) { sum += e.Data })
-	if sum != 10 {
-		t.Fatalf("sum=%d", sum)
-	}
-}
-
 // Property: occupancy never exceeds ways per set, and resident lines are
 // always found — also when Reserve sized the slabs for fewer lines than the
 // run touches (0: no Reserve).

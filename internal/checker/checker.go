@@ -19,6 +19,7 @@ package checker
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -122,38 +123,43 @@ func checkImage(cs *machine.CrashState, durable map[uint64]*core.Group) error {
 			expected[l] = v
 		}
 	}
-	for l, want := range expected {
-		if got := cs.Image[l]; got != want {
-			return &Violation{
-				Rule:   "atomicity",
-				Detail: fmt.Sprintf("line %v recovered as %v, expected %v", l, got, want),
-			}
+	// Each pass reports its lowest-addressed bad line, so a state with
+	// several bad lines always gets the same Violation.
+	if l, ok := lowestBad(expected, func(l mem.Line, want mem.Version) bool { return cs.Image[l] != want }); ok {
+		return &Violation{
+			Rule:   "atomicity",
+			Detail: fmt.Sprintf("line %v recovered as %v, expected %v", l, cs.Image[l], expected[l]),
 		}
 	}
-	for l, got := range cs.Image {
-		if _, ok := expected[l]; !ok && !got.IsInitial() {
-			return &Violation{
-				Rule:   "leak",
-				Detail: fmt.Sprintf("line %v holds %v but no durable group wrote it", l, got),
-			}
+	if l, ok := lowestBad(cs.Image, func(l mem.Line, got mem.Version) bool {
+		_, written := expected[l]
+		return !written && !got.IsInitial()
+	}); ok {
+		return &Violation{
+			Rule:   "leak",
+			Detail: fmt.Sprintf("line %v holds %v but no durable group wrote it", l, cs.Image[l]),
 		}
 	}
 	// The recovered version must also appear in the line's coherence order
 	// (a version that was never serialized cannot be recovered).
-	for l, got := range cs.Image {
-		found := false
-		for _, v := range cs.LineOrder[l] {
-			if v == got {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return &Violation{
-				Rule:   "coherence-order",
-				Detail: fmt.Sprintf("line %v recovered as %v, never in coherence order", l, got),
-			}
+	if l, ok := lowestBad(cs.Image, func(l mem.Line, got mem.Version) bool {
+		return !slices.Contains(cs.LineOrder[l], got)
+	}); ok {
+		return &Violation{
+			Rule:   "coherence-order",
+			Detail: fmt.Sprintf("line %v recovered as %v, never in coherence order", l, cs.Image[l]),
 		}
 	}
 	return nil
+}
+
+// lowestBad returns the lowest-addressed line of m that bad flags.
+func lowestBad(m map[mem.Line]mem.Version, bad func(mem.Line, mem.Version) bool) (mem.Line, bool) {
+	low, found := mem.Line(0), false
+	for l, v := range m {
+		if (!found || l < low) && bad(l, v) {
+			low, found = l, true
+		}
+	}
+	return low, found
 }

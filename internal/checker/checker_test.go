@@ -1,6 +1,8 @@
 package checker
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -135,6 +137,42 @@ func TestCheckerDetectsCorruptions(t *testing.T) {
 			t.Fatalf("wrong version not detected: %v", err)
 		}
 	})
+}
+
+// A state with several bad lines gets the same Violation on every check:
+// the one naming its lowest-addressed bad line.
+func TestViolationDetailIsDeterministic(t *testing.T) {
+	m, w := buildFor(t, machine.TSOPER, 5)()
+	cs := m.RunWithCrash(w, 20000)
+	var lines []mem.Line
+	for l, v := range cs.Image {
+		if !v.IsInitial() {
+			lines = append(lines, l)
+		}
+	}
+	if len(lines) < 3 {
+		t.Fatalf("crash state recovers %d written lines, want at least 3", len(lines))
+	}
+	slices.Sort(lines)
+	for _, l := range []mem.Line{lines[0], lines[len(lines)/2], lines[len(lines)-1]} {
+		delete(cs.Image, l) // three torn groups
+	}
+	var first string
+	for i := 0; i < 50; i++ {
+		err := Check(cs)
+		var v *Violation
+		if !errors.As(err, &v) || v.Rule != "atomicity" {
+			t.Fatalf("check %d: %v, want an atomicity violation", i, err)
+		}
+		if i == 0 {
+			first = v.Detail
+		} else if v.Detail != first {
+			t.Fatalf("check %d reports %q, check 0 reported %q", i, v.Detail, first)
+		}
+	}
+	if !strings.HasPrefix(first, "line "+lines[0].String()+" ") {
+		t.Fatalf("violation %q does not name the lowest torn line %v", first, lines[0])
+	}
 }
 
 func TestViolationError(t *testing.T) {

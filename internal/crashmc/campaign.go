@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"repro/internal/checker"
+	"repro/internal/faultplan"
 	"repro/internal/machine"
 	"repro/internal/program"
 	"repro/internal/trace"
@@ -67,6 +68,13 @@ type Spec struct {
 	// A CrashFault it sets corrupts every recovered state (mutation
 	// campaigns).
 	Config func(machine.SystemKind) machine.Config
+	// Schedules adds a fault-plan axis: each workload x system gets its
+	// fault-free tuple plus one tuple per schedule, which runs under that
+	// plan (it applies after Config, replacing its Faults). The report then
+	// gives each tuple its harvest run's drain horizon, and each scheduled
+	// tuple that run's fault ledger and its overhead against the fault-free
+	// tuple. A stall or a lost persist is a violation.
+	Schedules []faultplan.Spec
 
 	// replay, set only by tests, runs the reference execution, Replay: one
 	// fresh machine from cycle 0 per crash point. Run otherwise uses Sweep,
@@ -100,15 +108,22 @@ func (s Spec) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// tuple is one workload x system cell with its resolved crash points. The
-// workload is a scaled profile benchmark or a compiled program, never both.
+// tuple is one workload x system x schedule cell with its resolved crash
+// points. The workload is a scaled profile benchmark or a compiled program,
+// never both.
 type tuple struct {
-	name   string
-	bench  trace.Profile    // profile tuples: already scaled
-	prog   *program.Program // program tuples
-	system machine.SystemKind
-	cfg    machine.Config
-	points []uint64
+	name     string
+	bench    trace.Profile    // profile tuples: already scaled
+	prog     *program.Program // program tuples
+	system   machine.SystemKind
+	schedule string // the fault plan's name; "" for the fault-free tuple
+	cfg      machine.Config
+	points   []uint64
+	// The harvest run's outcome: its drain horizon and fault ledger, and
+	// the violation that reports it when it stalled or lost persists.
+	drain  uint64
+	counts faultplan.Counts
+	wedged *Injection
 }
 
 // workload materializes the tuple's deterministic op streams for a machine
@@ -130,8 +145,9 @@ func (tp *tuple) workload(cfg machine.Config, seed int64) *trace.Workload {
 // harvest runs execute in parallel too), sweeps them over the worker pool,
 // and aggregates the artifact. Simulations are fully deterministic, so the
 // report is identical for identical specs regardless of worker count. A
-// configuration machine.New rejects, or a wedged harvest run, fails the
-// campaign with an error.
+// configuration machine.New rejects, or a harvest run that deadlocks, fails
+// the campaign with an error; a harvest run that stalls or loses persists
+// is a reported violation.
 func Run(spec Spec) (*Report, error) {
 	if len(spec.Benchmarks)+len(spec.Programs) == 0 || len(spec.Systems) == 0 {
 		return nil, errors.New("crashmc: campaign needs at least one workload and one system")
@@ -147,12 +163,27 @@ func Run(spec Spec) (*Report, error) {
 			return nil, fmt.Errorf("crashmc: %v does not claim strict TSO persistency", k)
 		}
 	}
+	for _, sch := range spec.Schedules {
+		if err := sch.Validate(); err != nil {
+			return nil, fmt.Errorf("crashmc: %w", err)
+		}
+	}
 
-	tuples := make([]*tuple, 0, (len(spec.Benchmarks)+len(spec.Programs))*len(spec.Systems))
+	var tuples []*tuple
+	// grid adds a workload x system's fault-free tuple and its scheduled ones.
+	grid := func(tp tuple) {
+		tuples = append(tuples, &tp)
+		for i := range spec.Schedules {
+			scheduled := tp
+			scheduled.schedule = spec.Schedules[i].Name
+			scheduled.cfg.Faults = &spec.Schedules[i]
+			tuples = append(tuples, &scheduled)
+		}
+	}
 	for _, b := range spec.Benchmarks {
 		for _, k := range spec.Systems {
 			scaled := b.Scale(spec.scale())
-			tuples = append(tuples, &tuple{name: scaled.Name, bench: scaled, system: k, cfg: spec.config(k)})
+			grid(tuple{name: scaled.Name, bench: scaled, system: k, cfg: spec.config(k)})
 		}
 	}
 	for _, p := range spec.Programs {
@@ -163,12 +194,12 @@ func Run(spec Spec) (*Report, error) {
 			if _, err := p.Compile(program.Env{Cores: cfg.Cores, Ranks: cfg.NVM.Ranks}, spec.Seed); err != nil {
 				return nil, fmt.Errorf("crashmc: %w", err)
 			}
-			tuples = append(tuples, &tuple{name: p.Name, prog: p, system: k, cfg: cfg})
+			grid(tuple{name: p.Name, prog: p, system: k, cfg: cfg})
 		}
 	}
 	resolveErrs := make([]error, len(tuples))
 	runParallel(len(tuples), spec.workers(), func(i int) {
-		tuples[i].points, resolveErrs[i] = spec.resolvePoints(tuples[i], int64(i))
+		resolveErrs[i] = spec.resolvePoints(tuples[i], int64(i))
 	})
 	if err := firstError(resolveErrs); err != nil {
 		return nil, err
@@ -258,19 +289,52 @@ func splitChunks(idxs []int, n int) [][]int {
 
 // resolvePoints harvests up to Points transition cycles of the tuple's
 // workload and tops up with distinct seeded random cycles of its horizon
-// that the harvest missed, returning the union sorted; a run with fewer
-// cycles than Points crashes at each of them once. idx decorrelates the
-// random streams of different tuples.
-func (spec Spec) resolvePoints(tp *tuple, idx int64) ([]uint64, error) {
-	points, horizon, err := HarvestWorkload(tp.cfg, tp.workload(tp.cfg, spec.Seed), spec.Points)
+// that the harvest missed, setting the union, sorted, as the tuple's crash
+// points; a run with fewer cycles than Points crashes at each of them once.
+// idx decorrelates the random streams of different tuples. The harvest is a
+// full run, so it also sets the tuple's outcome: the run's drain horizon and
+// fault ledger, or, when it stalled or lost persists, the violation that
+// reports it (the horizon is then the cycle the run stopped at).
+func (spec Spec) resolvePoints(tp *tuple, idx int64) error {
+	points, m, err := harvestRun(tp.cfg, tp.workload(tp.cfg, spec.Seed), spec.Points)
+	if m == nil {
+		return err
+	}
+	horizon := uint64(m.Now())
+	tp.counts = m.FaultCounts()
 	if err != nil {
-		return nil, err
+		var stall *machine.StallError
+		errors.As(err, &stall)
+		rule, detail := recoveryFailure(stall, tp.counts)
+		if rule == "" {
+			return err
+		}
+		tp.wedged = &Injection{
+			Benchmark: tp.name, System: tp.system.String(), Schedule: tp.schedule,
+			Seed: spec.Seed, At: horizon, Violation: detail, Rule: rule,
+		}
+	} else {
+		tp.drain = horizon
 	}
 	if missing := spec.Points - len(points); missing > 0 {
 		points = append(points, topUp(points, horizon, missing, spec.Seed+idx*7919)...)
 		slices.Sort(points)
 	}
-	return points, nil
+	tp.points = points
+	return nil
+}
+
+// recoveryFailure names how a run broke the claim that every injected fault
+// recovers, if it did: rule "stall" when the watchdog declared no progress,
+// "lost" when the fault plan abandoned persists.
+func recoveryFailure(stall *machine.StallError, counts faultplan.Counts) (rule, detail string) {
+	switch {
+	case stall != nil:
+		return "stall", stall.Error()
+	case counts.Lost() > 0:
+		return "lost", fmt.Sprintf("%d persists abandoned: %s", counts.Lost(), counts)
+	}
+	return "", ""
 }
 
 // evaluate checks one recovered crash state and summarizes it.
@@ -279,6 +343,7 @@ func (spec Spec) evaluate(tp *tuple, at uint64, cs *machine.CrashState) Injectio
 	inj := Injection{
 		Benchmark: tp.name,
 		System:    tp.system.String(),
+		Schedule:  tp.schedule,
 		Seed:      spec.Seed,
 		At:        at,
 		Groups:    len(cs.Groups),
@@ -295,10 +360,11 @@ func (spec Spec) evaluate(tp *tuple, at uint64, cs *machine.CrashState) Injectio
 		if errors.As(err, &v) {
 			inj.Rule = v.Rule
 		}
-		// Shrinking re-generates candidate workloads from the profile, so
-		// program tuples report unshrunk (the program JSON is already the
-		// minimal reproducer to hand around).
-		if spec.Shrink && tp.prog == nil {
+		// Shrinking re-generates candidate workloads from the profile on a
+		// fault-free machine, so program tuples (the program JSON is
+		// already the minimal reproducer to hand around) and tuples under a
+		// fault plan report unshrunk.
+		if spec.Shrink && tp.prog == nil && cfg.Faults == nil {
 			f := Failure{
 				Profile:          tp.bench,
 				System:           tp.system.String(),
@@ -317,6 +383,8 @@ func (spec Spec) evaluate(tp *tuple, at uint64, cs *machine.CrashState) Injectio
 			shrunk := Shrink(f)
 			inj.Shrunk = &shrunk
 		}
+	} else if rule, detail := recoveryFailure(cs.Stall, cs.FaultCounts); rule != "" {
+		inj.Violation, inj.Rule = detail, rule
 	}
 	return inj
 }
@@ -331,27 +399,44 @@ func (spec Spec) assemble(tuples []*tuple, injections []Injection) *Report {
 	if spec.Coherence != machine.CoherenceSLC {
 		r.Protocol = spec.Coherence.String()
 	}
-	byTuple := map[string]*TupleSummary{}
-	for _, tp := range tuples {
-		ts := &TupleSummary{Benchmark: tp.name, System: tp.system.String(), Points: len(tp.points)}
-		byTuple[ts.Benchmark+"/"+ts.System] = ts
-		r.Tuples = append(r.Tuples, ts)
-	}
 	if spec.Detail {
 		r.Details = injections
 	}
-	for _, inj := range injections {
-		r.Injections++
-		r.DurableGroups += inj.Durable
-		ts := byTuple[inj.Benchmark+"/"+inj.System]
-		if inj.Partial {
-			r.PartialStates++
-			ts.Partial++
+	// Injections are laid out tuple by tuple, in crash-point order.
+	var baseline uint64
+	for _, tp := range tuples {
+		ts := &TupleSummary{Benchmark: tp.name, System: tp.system.String(), Points: len(tp.points)}
+		r.Tuples = append(r.Tuples, ts)
+		if len(spec.Schedules) > 0 {
+			ts.Schedule, ts.DrainCycles = tp.schedule, tp.drain
+			if tp.schedule == "" {
+				baseline = tp.drain
+			} else {
+				ts.Counts = &tp.counts
+				r.FaultsInjected += tp.counts.Injected()
+				r.Recoveries += tp.counts.Recoveries()
+				if baseline > 0 && tp.drain > 0 {
+					ts.OverheadPct = 100 * (float64(tp.drain) - float64(baseline)) / float64(baseline)
+				}
+			}
 		}
-		if inj.Violation != "" {
-			r.Violations = append(r.Violations, inj)
+		if tp.wedged != nil {
+			r.Violations = append(r.Violations, *tp.wedged)
 			ts.Violations++
 		}
+		for _, inj := range injections[:len(tp.points)] {
+			r.Injections++
+			r.DurableGroups += inj.Durable
+			if inj.Partial {
+				r.PartialStates++
+				ts.Partial++
+			}
+			if inj.Violation != "" {
+				r.Violations = append(r.Violations, inj)
+				ts.Violations++
+			}
+		}
+		injections = injections[len(tp.points):]
 	}
 	return r
 }

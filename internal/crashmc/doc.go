@@ -28,7 +28,9 @@
 //     one of the checker's rules must fire, guarding against a vacuously
 //     green checker.
 //   - A parallel campaign driver (campaign.go) fanning out over
-//     (benchmark × system × crash point) tuples with a worker pool,
-//     failing-case minimization (shrink.go), and JSON artifacts for CI
-//     (report.go).
+//     (workload × system × fault plan × crash point) tuples with a worker
+//     pool, failing-case minimization (shrink.go), and JSON artifacts for
+//     CI (report.go). The fault-plan axis is the resilience campaign:
+//     under each runtime fault schedule, every fault must recover and
+//     every recovered state must still be a consistent cut.
 package crashmc

@@ -20,12 +20,14 @@ import (
 // prefix-forked sweep: the incremental mode (one machine per ascending
 // chunk, one capture per point) must produce a report byte-identical to the
 // one-machine-per-point full replay. The pressure case is tsoper-bench's
-// crash_campaign at a twentieth of its points.
+// crash_campaign at a twentieth of its points; the faults case runs every
+// fault preset.
 func TestIncrementalMatchesFullReplay(t *testing.T) {
 	both := []machine.SystemKind{machine.TSOPER, machine.STW}
 	for _, spec := range []Spec{
 		{Name: "smoke", Benchmarks: Adversaries()[:2], Systems: both, Seed: 13, Points: 25, Parallel: 4, Detail: true},
 		{Name: "pressure", Benchmarks: Adversaries(), Systems: both, Seed: 42, Points: 20, Parallel: 4, Detail: true, Config: PressureConfig},
+		{Name: "faults", Benchmarks: Adversaries()[:1], Systems: both, Schedules: faultplan.Presets(), Scale: 0.3, Seed: 42, Points: 10, Parallel: 4, Detail: true},
 	} {
 		t.Run(spec.Name, func(t *testing.T) {
 			fast, err := Run(spec)

@@ -20,6 +20,18 @@ import (
 // Configuration errors and wedged runs — watchdog stalls, deadlocks, lost
 // persists — come back as errors.
 func HarvestWorkload(cfg machine.Config, w *trace.Workload, budget int) ([]uint64, uint64, error) {
+	points, m, err := harvestRun(cfg, w, budget)
+	if err != nil {
+		return nil, 0, err
+	}
+	return points, uint64(m.Now()), nil
+}
+
+// harvestRun is HarvestWorkload returning the machine it ran, so a campaign
+// can read the run's fault ledger too. A run that wedged keeps its points,
+// and its machine stands where the run stopped; a configuration machine.New
+// rejects returns no machine.
+func harvestRun(cfg machine.Config, w *trace.Workload, budget int) ([]uint64, *machine.Machine, error) {
 	seen := map[uint64]bool{}
 	cfg.Probe = func(e machine.Event) {
 		seen[uint64(e.At)] = true
@@ -27,12 +39,10 @@ func HarvestWorkload(cfg machine.Config, w *trace.Workload, budget int) ([]uint6
 	}
 	m, err := machine.New(cfg)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	m.Start(w)
-	if _, err := m.Advance(sim.MaxTime); err != nil {
-		return nil, 0, err
-	}
+	_, err = m.Advance(sim.MaxTime)
 
 	points := make([]uint64, 0, len(seen))
 	for at := range seen {
@@ -48,7 +58,7 @@ func HarvestWorkload(cfg machine.Config, w *trace.Workload, budget int) ([]uint6
 		}
 		points = thinned
 	}
-	return points, uint64(m.Now()), nil
+	return points, m, err
 }
 
 // Sweep crashes the workload at each of an ascending run of cycles and

@@ -5,14 +5,18 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"repro/internal/faultplan"
 )
 
 // Injection is the outcome of one crash point.
 type Injection struct {
 	Benchmark string `json:"benchmark"`
 	System    string `json:"system"`
-	Seed      int64  `json:"seed"`
-	At        uint64 `json:"at"`
+	// Schedule names the fault plan the machine ran under ("" for none).
+	Schedule string `json:"schedule,omitempty"`
+	Seed     int64  `json:"seed"`
+	At       uint64 `json:"at"`
 	// Groups is the journal size at the crash; Durable counts groups that
 	// survived; Partial marks the interesting states (some but not all
 	// groups durable).
@@ -32,13 +36,23 @@ type Injection struct {
 	Shrunk *Failure `json:"shrunk,omitempty"`
 }
 
-// TupleSummary aggregates one benchmark x system cell.
+// TupleSummary aggregates one benchmark x system x schedule cell.
 type TupleSummary struct {
-	Benchmark  string `json:"benchmark"`
-	System     string `json:"system"`
+	Benchmark string `json:"benchmark"`
+	System    string `json:"system"`
+	// Schedule names the tuple's fault plan ("" for the fault-free tuple).
+	// It and the fields after Violations are set only in campaigns with a
+	// schedule axis (Spec.Schedules).
+	Schedule   string `json:"schedule,omitempty"`
 	Points     int    `json:"points"`
 	Partial    int    `json:"partial"`
 	Violations int    `json:"violations"`
+	// DrainCycles is the harvest run's drain horizon (0 when it stalled or
+	// lost persists); OverheadPct is its slowdown against the fault-free
+	// tuple of the same workload and system; Counts is its fault ledger.
+	DrainCycles uint64            `json:"drain_cycles,omitempty"`
+	OverheadPct float64           `json:"overhead_pct,omitempty"`
+	Counts      *faultplan.Counts `json:"counts,omitempty"`
 }
 
 // Report is the campaign artifact written for CI.
@@ -57,8 +71,14 @@ type Report struct {
 	Injections    int `json:"injections"`
 	PartialStates int `json:"partial_states"`
 	DurableGroups int `json:"durable_groups"`
+	// FaultsInjected and Recoveries total the fault ledgers of the tuples
+	// under a fault plan: faults injected, and the recovery actions
+	// (retries, retransmissions, redirects) taken.
+	FaultsInjected uint64 `json:"faults_injected,omitempty"`
+	Recoveries     uint64 `json:"recoveries,omitempty"`
 	// Tuples summarizes each cell; Violations holds every failing
-	// injection in full.
+	// injection in full, and every harvest run that stalled or lost
+	// persists (At is the cycle it stopped at; no crash was injected).
 	Tuples     []*TupleSummary `json:"tuples"`
 	Violations []Injection     `json:"violations,omitempty"`
 	// Kills is the mutation-testing matrix (mutation campaigns only).
@@ -84,30 +104,28 @@ func (r *Report) Clean() bool {
 
 // Summary renders a one-line human digest.
 func (r *Report) Summary() string {
-	return fmt.Sprintf("%s: %d injections, %d partially-durable states, %d durable groups, %d violations",
+	s := fmt.Sprintf("%s: %d injections, %d partially-durable states, %d durable groups, %d violations",
 		r.Name, r.Injections, r.PartialStates, r.DurableGroups, len(r.Violations))
+	if r.FaultsInjected > 0 {
+		s += fmt.Sprintf(", %d faults injected, %d recovery actions", r.FaultsInjected, r.Recoveries)
+	}
+	return s
 }
 
 // WriteJSON writes the indented artifact.
-func (r *Report) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
-
-// WriteJSONFile writes the artifact to path.
-func (r *Report) WriteJSONFile(path string) error { return writeJSONFile(path, r) }
-
-// writeJSON writes a campaign report as indented JSON.
-func writeJSON(w io.Writer, report any) error {
+func (r *Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(report)
+	return enc.Encode(r)
 }
 
-// writeJSONFile writes a campaign report to path as indented JSON.
-func writeJSONFile(path string, report any) error {
+// WriteJSONFile writes the artifact to path.
+func (r *Report) WriteJSONFile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := writeJSON(f, report); err != nil {
+	if err := r.WriteJSON(f); err != nil {
 		f.Close()
 		return err
 	}

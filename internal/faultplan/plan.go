@@ -39,6 +39,12 @@ func (c Counts) Injected() uint64 {
 		c.AGBStalls + c.AGBOfflines
 }
 
+// Recoveries totals the recovery actions taken: NVM retries, NoC
+// retransmissions and escalations, and AGB redirects.
+func (c Counts) Recoveries() uint64 {
+	return c.NVMRetries + c.NoCRetransmits + c.NoCEscalations + c.AGBRedirects
+}
+
 // Lost counts faults that were neither retried to success nor degraded
 // around — permanently lost persists. Nonzero only under the test-only
 // DisableDegradation mode; campaigns assert zero.
