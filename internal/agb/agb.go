@@ -97,9 +97,10 @@ type Buffer struct {
 	queue   []*groupRec // allocation order, oldest first
 	waiting []*groupRec // reservations that did not fit, FIFO
 
-	// contents tracks buffered-but-not-written versions per line, newest
-	// last, backing Lookup (the AGB search on LLC miss, §II-B).
-	contents map[mem.Line][]mem.Version
+	// resident counts each line's buffered-but-not-written versions,
+	// backing Buffered (the AGB search on LLC miss, §II-B); a line leaves
+	// the map when its count reaches zero.
+	resident map[mem.Line]int
 
 	enqueued  *stats.Counter
 	stalls    *stats.Counter
@@ -133,13 +134,12 @@ type lineOp struct {
 	b    *Buffer
 	rec  *groupRec
 	line mem.Line
-	ver  mem.Version
 	inFn func()
 	egFn func()
 	next *lineOp
 }
 
-func (b *Buffer) newLineOp(rec *groupRec, l mem.Line, v mem.Version) *lineOp {
+func (b *Buffer) newLineOp(rec *groupRec, l mem.Line) *lineOp {
 	op := b.freeOps
 	if op != nil {
 		b.freeOps = op.next
@@ -148,15 +148,15 @@ func (b *Buffer) newLineOp(rec *groupRec, l mem.Line, v mem.Version) *lineOp {
 		op.inFn = op.ingressDone
 		op.egFn = op.egressDone
 	}
-	op.rec, op.line, op.ver = rec, l, v
+	op.rec, op.line = rec, l
 	return op
 }
 
 // release returns the record to the free list. It runs before the completion
 // body: the callbacks below may start further transfers, and those may reuse
 // this record.
-func (op *lineOp) release() (b *Buffer, rec *groupRec, l mem.Line, v mem.Version) {
-	b, rec, l, v = op.b, op.rec, op.line, op.ver
+func (op *lineOp) release() (b *Buffer, rec *groupRec, l mem.Line) {
+	b, rec, l = op.b, op.rec, op.line
 	op.rec = nil
 	op.next = b.freeOps
 	b.freeOps = op
@@ -164,8 +164,8 @@ func (op *lineOp) release() (b *Buffer, rec *groupRec, l mem.Line, v mem.Version
 }
 
 func (op *lineOp) ingressDone() {
-	b, rec, line, ver := op.release()
-	b.contents[line] = append(b.contents[line], ver)
+	b, rec, line := op.release()
+	b.resident[line]++
 	if rec.req.OnLineBuffered != nil {
 		rec.req.OnLineBuffered(line)
 	}
@@ -177,8 +177,12 @@ func (op *lineOp) ingressDone() {
 }
 
 func (op *lineOp) egressDone() {
-	b, rec, line, ver := op.release()
-	b.dropContent(line, ver)
+	b, rec, line := op.release()
+	if n := b.resident[line]; n > 1 {
+		b.resident[line] = n - 1
+	} else {
+		delete(b.resident, line)
+	}
 	rec.written++
 	if rec.written == rec.size {
 		b.retire(rec)
@@ -231,7 +235,7 @@ func New(engine *sim.Engine, memory *nvm.Memory, cfg Config, set *stats.Set) *Bu
 		mem:       memory,
 		free:      make([]int, cfg.Slices),
 		ports:     sim.NewBank(cfg.Slices),
-		contents:  make(map[mem.Line][]mem.Version),
+		resident:  make(map[mem.Line]int),
 		enqueued:  set.Counter("agb.groups"),
 		stalls:    set.Counter("agb.reservation_stalls"),
 		occupancy: set.Dist("agb.occupancy_lines"),
@@ -476,7 +480,7 @@ func (b *Buffer) ingress(rec *groupRec) {
 			}
 		}
 		start := b.ports.Claim(s, b.engine.Now(), b.cfg.TransferLatency)
-		b.engine.At(start+b.cfg.TransferLatency, b.newLineOp(rec, lv.line, lv.ver).inFn)
+		b.engine.At(start+b.cfg.TransferLatency, b.newLineOp(rec, lv.line).inFn)
 	}
 	b.putLines(lvs)
 }
@@ -511,7 +515,7 @@ func (b *Buffer) egress(rec *groupRec) {
 	}
 	lvs := b.sortedLines(rec.req.Lines)
 	for _, lv := range lvs {
-		b.mem.Write(lv.line, lv.ver, b.newLineOp(rec, lv.line, lv.ver).egFn)
+		b.mem.Write(lv.line, lv.ver, b.newLineOp(rec, lv.line).egFn)
 	}
 	b.putLines(lvs)
 }
@@ -537,19 +541,6 @@ func (b *Buffer) retire(rec *groupRec) {
 	b.tryAllocate()
 }
 
-func (b *Buffer) dropContent(l mem.Line, v mem.Version) {
-	vs := b.contents[l]
-	for i, x := range vs {
-		if x == v {
-			b.contents[l] = append(vs[:i], vs[i+1:]...)
-			break
-		}
-	}
-	if len(b.contents[l]) == 0 {
-		delete(b.contents, l)
-	}
-}
-
 // PortClaim exposes slice ingress-port arbitration to systems that model
 // epoch persists through the buffer without full group bookkeeping (the
 // idealized BSP+SLC+AGB stepping stone of §V-B).
@@ -557,15 +548,9 @@ func (b *Buffer) PortClaim(slice int, at, occupancy sim.Time) sim.Time {
 	return b.ports.Claim(slice%b.cfg.Slices, at, occupancy)
 }
 
-// Lookup returns the newest version of line l still resident in the buffer
-// (the AGB search performed under the shadow of an LLC miss).
-func (b *Buffer) Lookup(l mem.Line) (mem.Version, bool) {
-	vs := b.contents[l]
-	if len(vs) == 0 {
-		return mem.Version{}, false
-	}
-	return vs[len(vs)-1], true
-}
+// Buffered reports whether a version of line l is buffered and not yet
+// written to NVM (the AGB search performed under the shadow of an LLC miss).
+func (b *Buffer) Buffered(l mem.Line) bool { return b.resident[l] > 0 }
 
 // used returns occupied lines across all slices.
 func (b *Buffer) used() int {

@@ -107,19 +107,39 @@ func TestDurabilityFrontierFIFO(t *testing.T) {
 	}
 }
 
-func TestLookupNewestVersion(t *testing.T) {
-	e, _, b := setup(Config{Slices: 1, LinesPerSlice: 16, TransferLatency: 1})
+// TestBufferedUntilWritten: a line stays Buffered while any of its versions
+// waits in the buffer, and not once the last of them is written to NVM.
+func TestBufferedUntilWritten(t *testing.T) {
+	e, m, b := setup(Config{Slices: 1, LinesPerSlice: 16, TransferLatency: 1})
 	l := mem.Line(7)
+	if b.Buffered(l) {
+		t.Fatal("empty buffer reports the line buffered")
+	}
 	b.Persist(Request{ID: 1, Lines: map[mem.Line]mem.Version{l: {Core: 0, Seq: 1}}})
 	b.Persist(Request{ID: 2, Lines: map[mem.Line]mem.Version{l: {Core: 1, Seq: 1}}})
 	// Run until both buffered but before NVM writes complete (360 cycles).
 	e.RunUntil(10)
-	if v, ok := b.Lookup(l); !ok || v != (mem.Version{Core: 1, Seq: 1}) {
-		t.Fatalf("lookup = %v %v, want newest buffered version", v, ok)
+	if !b.Buffered(l) {
+		t.Fatal("line with two buffered versions not reported buffered")
+	}
+	if b.Buffered(l + 1) {
+		t.Fatal("a line no group wrote reported buffered")
+	}
+	// Run until the first version is written but the second is not: the
+	// line is still buffered.
+	var firstWritten sim.Time
+	for e.Step() {
+		if m.Durable(l) == (mem.Version{Core: 0, Seq: 1}) {
+			firstWritten = e.Now()
+			break
+		}
+	}
+	if firstWritten == 0 || !b.Buffered(l) {
+		t.Fatalf("after the first write (cycle %d) the second version must still be buffered", firstWritten)
 	}
 	e.Run()
-	if _, ok := b.Lookup(l); ok {
-		t.Fatal("drained line must leave the buffer contents")
+	if b.Buffered(l) {
+		t.Fatal("drained line must leave the buffer")
 	}
 }
 

@@ -9,11 +9,11 @@ import (
 
 // EncodeState writes the AGB's logical occupancy: free lines per slice, the
 // allocation queue and waiting FIFO (groups by ID with their reservation
-// progress), buffered contents per line, port occupancy, and slice-outage
-// flags. Pools (lvPool, freeOps) and scheduled outage toggles are excluded:
-// the former are allocation reuse, the latter live in the engine schedule.
-// The enqueued/stalls counters and occupancy/groupSize distributions are in
-// the machine's stats registry.
+// progress), each line's count of buffered-but-not-written versions, port
+// occupancy, and slice-outage flags. Pools (lvPool, freeOps) and scheduled
+// outage toggles are excluded: the former are allocation reuse, the latter
+// live in the engine schedule. The enqueued/stalls counters and
+// occupancy/groupSize distributions are in the machine's stats registry.
 func (b *Buffer) EncodeState(w *ckpt.Writer) {
 	w.U32(uint32(len(b.free)))
 	for _, n := range b.free {
@@ -48,20 +48,15 @@ func (b *Buffer) EncodeState(w *ckpt.Writer) {
 	encodeRecs(b.queue)
 	encodeRecs(b.waiting)
 
-	lines := make([]uint64, 0, len(b.contents))
-	for l := range b.contents {
+	lines := make([]uint64, 0, len(b.resident))
+	for l := range b.resident {
 		lines = append(lines, uint64(l))
 	}
 	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
 	w.U32(uint32(len(lines)))
 	for _, l := range lines {
-		vs := b.contents[mem.Line(l)]
 		w.U64(l)
-		w.U32(uint32(len(vs)))
-		for _, v := range vs {
-			w.Int(v.Core)
-			w.U64(v.Seq)
-		}
+		w.Int(b.resident[mem.Line(l)])
 	}
 	b.ports.EncodeState(w)
 	w.U32(uint32(len(b.offline)))

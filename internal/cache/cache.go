@@ -41,51 +41,42 @@ type Entry[T any] struct {
 	nextFree *Entry[T]
 }
 
-// Cache is a set-associative array with LRU replacement.
+// Cache is a set-associative array with LRU replacement. The set table is
+// the one index: a line is found by scanning its set's ways.
 type Cache[T any] struct {
-	geom  Geometry
-	sets  [][]*Entry[T]
-	index map[mem.Line]*Entry[T]
-	tick  uint64
-	free  *Entry[T]
-	slab  []Entry[T]
+	geom Geometry
+	sets [][]*Entry[T]
+	tick uint64
+	free *Entry[T]
+	slab []Entry[T]
 	// waySlab carves a set's slots, at full associativity, on its first
 	// insert: construction costs nothing per set, and a machine that touches
 	// a handful of lines (a litmus test) never backs the rest of a large
 	// array.
 	waySlab []*Entry[T]
-
-	// Hits and Misses count Lookup outcomes.
-	Hits, Misses uint64
 }
 
-// Per-line state caps: the index presize, and how many entries and how
-// many sets' ways one slab chunk holds.
+// Per-line state caps: how many entries and how many sets' ways one slab
+// chunk holds.
 const (
-	indexHintCap = 2048
-	entryChunk   = 64
-	setChunk     = 16
+	entryChunk = 64
+	setChunk   = 16
 )
 
 // New creates an empty cache with the given geometry. It allocates the set
 // table and nothing per line: Reserve sizes the per-line state for a run.
 func New[T any](geom Geometry) *Cache[T] {
 	return &Cache[T]{
-		geom:  geom,
-		sets:  make([][]*Entry[T], geom.Sets()),
-		index: map[mem.Line]*Entry[T]{},
+		geom: geom,
+		sets: make([][]*Entry[T], geom.Sets()),
 	}
 }
 
 // Reserve sizes the per-line state for a run that touches at most n distinct
-// lines; call it before the first Insert. The index is presized for
-// min(capacity, 2048, n) lines — workloads rarely fill a large array, and a
-// full-capacity map is megabytes of mostly idle buckets per machine — and
-// the first slab chunks hold min(64, n) entries and min(16, n) sets, so a
-// run within the bound never carves another. Past it the cache still works:
-// the index grows the usual doubling way and the slabs refill.
+// lines; call it before the first Insert. The first slab chunks hold
+// min(64, n) entries and min(16, n) sets, so a run within the bound never
+// carves another. Past it the cache still works: the slabs refill.
 func (c *Cache[T]) Reserve(n int) {
-	c.index = make(map[mem.Line]*Entry[T], min(c.geom.SizeBytes/mem.LineSize, indexHintCap, n))
 	c.slab = make([]Entry[T], min(entryChunk, n))
 	c.waySlab = make([]*Entry[T], min(setChunk, n)*c.geom.Ways)
 }
@@ -95,31 +86,38 @@ func (c *Cache[T]) setOf(l mem.Line) int {
 	return int(uint64(l) % uint64(len(c.sets)))
 }
 
+// find returns line l's entry in set si, or nil.
+func (c *Cache[T]) find(si int, l mem.Line) *Entry[T] {
+	for _, e := range c.sets[si] {
+		if e.Line == l {
+			return e
+		}
+	}
+	return nil
+}
+
 // Lookup returns the entry for l and bumps its recency, or nil on miss.
 func (c *Cache[T]) Lookup(l mem.Line) *Entry[T] {
-	e, ok := c.index[l]
-	if !ok {
-		c.Misses++
-		return nil
+	e := c.Peek(l)
+	if e != nil {
+		c.tick++
+		e.lru = c.tick
 	}
-	c.Hits++
-	c.tick++
-	e.lru = c.tick
 	return e
 }
 
-// Peek returns the entry without affecting recency or hit counters.
-func (c *Cache[T]) Peek(l mem.Line) *Entry[T] { return c.index[l] }
+// Peek returns the entry for l without affecting recency, or nil on miss.
+func (c *Cache[T]) Peek(l mem.Line) *Entry[T] { return c.find(c.setOf(l), l) }
 
 // Insert adds line l, evicting the LRU victim from its set if the set is
 // full. It returns the new entry and the victim (nil if none). Inserting a
 // line that is already resident panics: callers must Lookup first — a
 // double insert is always a protocol bug.
 func (c *Cache[T]) Insert(l mem.Line, data T) (entry, victim *Entry[T]) {
-	if _, ok := c.index[l]; ok {
+	si := c.setOf(l)
+	if c.find(si, l) != nil {
 		panic(fmt.Sprintf("cache: double insert of %v", l))
 	}
-	si := c.setOf(l)
 	set := c.sets[si]
 	// Pop the free list before evicting: this Insert's own victim then lands
 	// on the free list untouched, so the caller can still read it after we
@@ -148,7 +146,6 @@ func (c *Cache[T]) Insert(l mem.Line, data T) (entry, victim *Entry[T]) {
 	c.tick++
 	e.Line, e.Data, e.lru = l, data, c.tick
 	c.sets[si] = append(c.sets[si], e)
-	c.index[l] = e
 	return e, victim
 }
 
@@ -176,11 +173,11 @@ func (c *Cache[T]) Victim(l mem.Line) *Entry[T] {
 
 // Remove deletes line l, returning its entry (nil if absent).
 func (c *Cache[T]) Remove(l mem.Line) *Entry[T] {
-	e, ok := c.index[l]
-	if !ok {
-		return nil
+	si := c.setOf(l)
+	e := c.find(si, l)
+	if e != nil {
+		c.removeEntry(si, e)
 	}
-	c.removeEntry(c.setOf(l), e)
 	return e
 }
 
@@ -193,14 +190,10 @@ func (c *Cache[T]) removeEntry(si int, e *Entry[T]) {
 			break
 		}
 	}
-	delete(c.index, e.Line)
 	// Line and Data stay readable until a later Insert recycles the record.
 	e.nextFree = c.free
 	c.free = e
 }
-
-// Len returns the number of resident lines.
-func (c *Cache[T]) Len() int { return len(c.index) }
 
 // SetOccupancy returns how many lines the set holding l contains.
 func (c *Cache[T]) SetOccupancy(l mem.Line) int { return len(c.sets[c.setOf(l)]) }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -36,9 +37,6 @@ func TestInsertLookup(t *testing.T) {
 	}
 	if c.Lookup(mem.Line(99)) != nil {
 		t.Fatal("miss should return nil")
-	}
-	if c.Hits != 1 || c.Misses != 1 {
-		t.Fatalf("hits=%d misses=%d", c.Hits, c.Misses)
 	}
 }
 
@@ -78,8 +76,8 @@ func TestRemove(t *testing.T) {
 	if c.Remove(mem.Line(0)) != nil {
 		t.Fatal("second remove should return nil")
 	}
-	if c.Len() != 0 {
-		t.Fatalf("len=%d", c.Len())
+	if c.Peek(mem.Line(0)) != nil || c.SetOccupancy(mem.Line(0)) != 0 {
+		t.Fatalf("removed line still resident (set occupancy %d)", c.SetOccupancy(mem.Line(0)))
 	}
 }
 
@@ -94,25 +92,103 @@ func TestPeekDoesNotTouchLRU(t *testing.T) {
 	}
 }
 
-// Property: occupancy never exceeds ways per set, and resident lines are
-// always found — also when Reserve sized the slabs for fewer lines than the
-// run touches (0: no Reserve).
+// Property: under random Insert, Lookup and Remove the cache matches a
+// reference model that keeps each set's lines in LRU order. Occupancy never
+// exceeds the ways; every resident line is found with its data, also after
+// a Remove swaps the set's last way into the freed slot; Insert evicts the
+// set's least recently inserted or looked-up line; and a removed or evicted
+// entry's data stays readable until the next Insert. Reserve sizes the
+// slabs for fewer lines than the run touches (0: no Reserve).
 func TestPropertyOccupancyBound(t *testing.T) {
+	const ways, lines, opsPerRun = 4, 64, 300
+	geom := Geometry{SizeBytes: 64 * 32, Ways: ways} // 8 sets
+	type item struct {
+		line mem.Line
+		data int
+	}
+	indexOf := func(set []item, l mem.Line) int {
+		for i, it := range set {
+			if it.line == l {
+				return i
+			}
+		}
+		return -1
+	}
+	var evictions, removals int
 	for _, reserve := range []int{0, 1, 3} {
-		f := func(lines []uint16) bool {
-			c := New[struct{}](Geometry{SizeBytes: 64 * 32, Ways: 4}) // 8 sets
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			c := New[int](geom)
 			if reserve > 0 {
 				c.Reserve(reserve)
 			}
-			for _, l := range lines {
-				line := mem.Line(l % 256)
-				if c.Peek(line) == nil {
-					c.Insert(line, struct{}{})
+			model := make([][]item, geom.Sets()) // per set, least recently used first
+			for n := 0; n < opsPerRun; n++ {
+				line := mem.Line(rng.Intn(lines))
+				si := int(line) % len(model)
+				set := model[si]
+				i := indexOf(set, line)
+				var gone *Entry[int] // a removed or evicted entry, checked last
+				var goneItem item
+				switch op := rng.Intn(3); {
+				case op == 0 && i < 0: // insert an absent line
+					e, victim := c.Insert(line, n)
+					if e == nil || e.Line != line || e.Data != n {
+						return false
+					}
+					if len(set) == ways {
+						if victim == nil || victim.Line != set[0].line {
+							return false
+						}
+						gone, goneItem = victim, set[0]
+						set = set[1:]
+						evictions++
+					} else if victim != nil {
+						return false
+					}
+					set = append(set, item{line, n})
+				case op == 2: // remove
+					e := c.Remove(line)
+					if i < 0 {
+						if e != nil {
+							return false
+						}
+						break
+					}
+					if e == nil {
+						return false
+					}
+					gone, goneItem = e, set[i]
+					set = append(set[:i:i], set[i+1:]...)
+					if len(set) > 0 {
+						removals++
+					}
+				default: // look up (also an insert of a resident line)
+					e := c.Lookup(line)
+					if i < 0 {
+						if e != nil {
+							return false
+						}
+						break
+					}
+					if e == nil || e.Data != set[i].data {
+						return false
+					}
+					set = append(append(set[:i:i], set[i+1:]...), set[i])
 				}
-				if c.SetOccupancy(line) > c.Ways() {
+				model[si] = set
+				if c.SetOccupancy(line) != len(set) || len(set) > ways {
 					return false
 				}
-				if c.Peek(line) == nil {
+				for _, it := range set {
+					if e := c.Peek(it.line); e == nil || e.Line != it.line || e.Data != it.data {
+						return false
+					}
+				}
+				if indexOf(set, line) < 0 && c.Peek(line) != nil {
+					return false
+				}
+				if gone != nil && (gone.Line != goneItem.line || gone.Data != goneItem.data) {
 					return false
 				}
 			}
@@ -121,6 +197,9 @@ func TestPropertyOccupancyBound(t *testing.T) {
 		if err := quick.Check(f, nil); err != nil {
 			t.Fatalf("reserve %d: %v", reserve, err)
 		}
+	}
+	if evictions == 0 || removals == 0 {
+		t.Fatalf("runs made %d evictions and %d removals from occupied sets; the property needs both", evictions, removals)
 	}
 }
 

@@ -7,26 +7,21 @@ import (
 	"repro/internal/mem"
 )
 
-// EncodeState writes the cache's logical contents deterministically: hit
-// counters, the LRU clock, and every resident line in address order with
-// its recency stamp, a reserved zero byte (the retired pin bit, kept so
-// blobs stay byte-identical), and a caller-encoded payload. Set membership
-// and free-list linkage are derivable (geometry is config) and excluded.
+// EncodeState writes the cache's logical contents deterministically: the
+// LRU clock, then every resident line in address order with its recency
+// stamp and a caller-encoded payload. Set membership and free-list linkage
+// are derivable (geometry is config) and excluded.
 func (c *Cache[T]) EncodeState(w *ckpt.Writer, payload func(*ckpt.Writer, T)) {
-	w.U64(c.Hits)
-	w.U64(c.Misses)
 	w.U64(c.tick)
-	lines := make([]uint64, 0, len(c.index))
-	for l := range c.index {
-		lines = append(lines, uint64(l))
+	var resident []*Entry[T]
+	for _, set := range c.sets {
+		resident = append(resident, set...)
 	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	w.U32(uint32(len(lines)))
-	for _, l := range lines {
-		e := c.index[mem.Line(l)]
-		w.U64(l)
+	sort.Slice(resident, func(i, j int) bool { return resident[i].Line < resident[j].Line })
+	w.U32(uint32(len(resident)))
+	for _, e := range resident {
+		w.U64(uint64(e.Line))
 		w.U64(e.lru)
-		w.Bool(false)
 		payload(w, e.Data)
 	}
 }

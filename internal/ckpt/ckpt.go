@@ -21,7 +21,7 @@ import (
 )
 
 // Version is the blob format version this package reads and writes.
-const Version = 1
+const Version = 2
 
 // magic brands checkpoint blobs; the trailing byte is the header layout
 // revision (independent of Version, which covers the state encoding).

@@ -112,10 +112,10 @@ func (d *Directory) newNode() *Node {
 func (d *Directory) Peek(l mem.Line) *List { return d.lists[l] }
 
 // Sample records the current lengths of a line's list into the length
-// distributions. The machine calls this on every coherence transaction.
-func (d *Directory) Sample(l mem.Line) {
-	lst := d.lists[l]
-	if lst == nil || lst.Len() == 0 {
+// distributions; an empty list records nothing. The machine calls this on
+// every coherence transaction with the list it already holds.
+func (d *Directory) Sample(lst *List) {
+	if lst.Len() == 0 {
 		return
 	}
 	co, pe := uint64(lst.ValidLen()), uint64(lst.Len())

@@ -305,8 +305,8 @@ func TestDirectory(t *testing.T) {
 	}
 	l.AddHead(0, true, true, v(0, 1), 1)
 	l.AddHead(1, true, false, v(0, 1), 0)
-	d.Sample(mem.Line(1))
-	d.Sample(mem.Line(2)) // no list: ignored
+	d.Sample(l)
+	d.Sample(d.List(mem.Line(2))) // empty list: ignored
 	coh, per := d.Lengths()
 	if coh != 2 || per != 2 {
 		t.Fatalf("lengths: %f %f", coh, per)
@@ -314,7 +314,7 @@ func TestDirectory(t *testing.T) {
 	if err := d.CheckAll(); err != nil {
 		t.Fatal(err)
 	}
-	if d.Lines() != 1 {
+	if d.Lines() != 2 {
 		t.Fatalf("lines=%d", d.Lines())
 	}
 }

@@ -13,7 +13,6 @@ import (
 // are allocation machinery, not logical state. The stats counters live in
 // the machine's registry and are encoded there.
 func (s *State) EncodeState(w *ckpt.Writer) {
-	w.U64(s.lease)
 	w.U32(uint32(len(s.pts)))
 	for _, t := range s.pts {
 		w.U64(t)

@@ -20,25 +20,9 @@ import (
 	"repro/internal/stats"
 )
 
-// DefaultLease is the static logical lease length granted on shared reads
-// (the Tardis paper evaluates leases of 8–64 and uses 10 as its default).
-const DefaultLease = 10
-
-// Config parameterizes the timestamp protocol.
-type Config struct {
-	// Caches is the number of private caches (per-cache program timestamps
-	// and per-line lease slots).
-	Caches int
-	// Lease is the logical read-lease length (0 picks DefaultLease).
-	Lease uint64
-}
-
-func (c Config) lease() uint64 {
-	if c.Lease == 0 {
-		return DefaultLease
-	}
-	return c.Lease
-}
+// Lease is the static logical lease length granted on shared reads (the
+// Tardis paper evaluates leases of 8–64 and uses 10 as its default).
+const Lease = 10
 
 // lineMeta is the directory's timestamp view of one line.
 type lineMeta struct {
@@ -53,8 +37,8 @@ type lineMeta struct {
 // serialization instants, so the single-threaded event engine makes the
 // timestamp order identical to the event order.
 type State struct {
-	cfg   Config
-	lease uint64
+	// pts holds one program timestamp per private cache; its length is the
+	// cache count, which also sizes each line's lease slots.
 	pts   []uint64
 	lines map[mem.Line]*lineMeta
 
@@ -68,20 +52,18 @@ type State struct {
 	tsJumps   *stats.Counter
 }
 
-// New constructs the timestamp state. The counters register in the given
-// stats set at construction, so registration order is deterministic:
-// tardis.renewals (lease-expired private hits that paid a directory round
-// trip), tardis.lease_hits (private hits served under a live lease), and
-// tardis.ts_jumps (exclusive acquisitions that bumped logical time past a
-// lease end).
-func New(cfg Config, set *stats.Set) *State {
-	if cfg.Caches <= 0 {
-		panic("tardis: config needs a positive cache count")
+// New constructs the timestamp state for the given number of private
+// caches. The counters register in the given stats set at construction, so
+// registration order is deterministic: tardis.renewals (lease-expired
+// private hits that paid a directory round trip), tardis.lease_hits
+// (private hits served under a live lease), and tardis.ts_jumps (exclusive
+// acquisitions that bumped logical time past a lease end).
+func New(caches int, set *stats.Set) *State {
+	if caches <= 0 {
+		panic("tardis: needs a positive cache count")
 	}
 	return &State{
-		cfg:       cfg,
-		lease:     cfg.lease(),
-		pts:       make([]uint64, cfg.Caches),
+		pts:       make([]uint64, caches),
 		lines:     map[mem.Line]*lineMeta{},
 		renewals:  set.Counter("tardis.renewals"),
 		leaseHits: set.Counter("tardis.lease_hits"),
@@ -104,7 +86,7 @@ func (s *State) Reserve(n int) {
 	k := min(metaChunk, n)
 	s.lines = make(map[mem.Line]*lineMeta, min(linesHintCap, n))
 	s.metaSlab = make([]lineMeta, k)
-	s.leaseSlab = make([]uint64, k*s.cfg.Caches)
+	s.leaseSlab = make([]uint64, k*len(s.pts))
 }
 
 // PTS returns cache c's program timestamp.
@@ -134,11 +116,12 @@ func (s *State) meta(l mem.Line) *lineMeta {
 		}
 		m = &s.metaSlab[0]
 		s.metaSlab = s.metaSlab[1:]
-		if len(s.leaseSlab) < s.cfg.Caches {
-			s.leaseSlab = make([]uint64, metaChunk*s.cfg.Caches)
+		caches := len(s.pts)
+		if len(s.leaseSlab) < caches {
+			s.leaseSlab = make([]uint64, metaChunk*caches)
 		}
-		m.leases = s.leaseSlab[:s.cfg.Caches:s.cfg.Caches]
-		s.leaseSlab = s.leaseSlab[s.cfg.Caches:]
+		m.leases = s.leaseSlab[:caches:caches]
+		s.leaseSlab = s.leaseSlab[caches:]
 		s.lines[l] = m
 	}
 	return m
@@ -152,7 +135,7 @@ func (s *State) Read(c int, l mem.Line) {
 	if s.pts[c] < m.wts {
 		s.pts[c] = m.wts
 	}
-	end := s.pts[c] + s.lease
+	end := s.pts[c] + Lease
 	if end > m.rts {
 		m.rts = end
 	} else {

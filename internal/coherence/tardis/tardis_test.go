@@ -11,17 +11,17 @@ import (
 
 func newState(t *testing.T, caches int) *State {
 	t.Helper()
-	return New(Config{Caches: caches}, stats.NewSet())
+	return New(caches, stats.NewSet())
 }
 
 func TestWriteBumpsLogicalTimePastLease(t *testing.T) {
 	s := newState(t, 2)
 	l := mem.Line(7)
 
-	// Cache 0 reads: pts stays 0, lease runs to DefaultLease.
+	// Cache 0 reads: pts stays 0, lease runs to Lease.
 	s.Read(0, l)
-	if got := s.RTS(l); got != DefaultLease {
-		t.Fatalf("rts after first read = %d, want %d", got, DefaultLease)
+	if got := s.RTS(l); got != Lease {
+		t.Fatalf("rts after first read = %d, want %d", got, Lease)
 	}
 	if s.NeedsRenewal(0, l) {
 		t.Fatal("fresh lease should not need renewal")
@@ -30,11 +30,11 @@ func TestWriteBumpsLogicalTimePastLease(t *testing.T) {
 	// Cache 1 writes: wts jumps past the lease end — no invalidation
 	// message, the lease is simply no longer live at the new time.
 	s.Write(1, l)
-	if got, want := s.WTS(l), uint64(DefaultLease+1); got != want {
+	if got, want := s.WTS(l), uint64(Lease+1); got != want {
 		t.Fatalf("wts after write = %d, want %d", got, want)
 	}
-	if got := s.PTS(1); got != DefaultLease+1 {
-		t.Fatalf("writer pts = %d, want %d", got, DefaultLease+1)
+	if got := s.PTS(1); got != Lease+1 {
+		t.Fatalf("writer pts = %d, want %d", got, Lease+1)
 	}
 	// The writer holds an implicit lease on its own copy.
 	if s.NeedsRenewal(1, l) {
@@ -51,11 +51,11 @@ func TestLeaseExpiryForcesRenewal(t *testing.T) {
 
 	s.Read(0, a) // lease on a to 10
 	// Cache 0's pts advances by writing b repeatedly past a's lease end.
-	for i := 0; i < DefaultLease+2; i++ {
+	for i := 0; i < Lease+2; i++ {
 		s.Write(0, b)
 	}
-	if s.PTS(0) <= DefaultLease {
-		t.Fatalf("pts = %d, expected to have advanced past %d", s.PTS(0), DefaultLease)
+	if s.PTS(0) <= Lease {
+		t.Fatalf("pts = %d, expected to have advanced past %d", s.PTS(0), Lease)
 	}
 	if !s.NeedsRenewal(0, a) {
 		t.Fatal("expired lease must need renewal")
@@ -71,24 +71,24 @@ func TestLeaseExpiryForcesRenewal(t *testing.T) {
 // frontier, and none when it is already beyond it.
 func TestWriteCountsTSJumps(t *testing.T) {
 	set := stats.NewSet()
-	s := New(Config{Caches: 2}, set)
+	s := New(2, set)
 	l, fresh := mem.Line(3), mem.Line(4)
 	jumps := set.Counter("tardis.ts_jumps")
 
-	s.Read(1, l) // lease frontier at DefaultLease
+	s.Read(1, l) // lease frontier at Lease
 	s.Write(0, l)
 	if jumps.Value != 1 {
 		t.Fatalf("ts_jumps after a write past a lease = %d, want 1", jumps.Value)
 	}
-	if got, want := s.WTS(l), uint64(DefaultLease+1); got != want {
+	if got, want := s.WTS(l), uint64(Lease+1); got != want {
 		t.Fatalf("wts = %d, want %d", got, want)
 	}
 	s.Write(0, fresh) // pts is already past fresh's (zero) frontier
 	if jumps.Value != 1 {
 		t.Fatalf("ts_jumps after a write with pts ahead = %d, want 1", jumps.Value)
 	}
-	if got := s.WTS(fresh); got != DefaultLease+1 {
-		t.Fatalf("wts of fresh line = %d, want the writer's pts %d", got, DefaultLease+1)
+	if got := s.WTS(fresh); got != Lease+1 {
+		t.Fatalf("wts of fresh line = %d, want the writer's pts %d", got, Lease+1)
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -100,14 +100,14 @@ func TestWriteCountsTSJumps(t *testing.T) {
 // and is not counted as a ts_jump.
 func TestCoalesceBumpsPastLeaseFrontier(t *testing.T) {
 	set := stats.NewSet()
-	s := New(Config{Caches: 2}, set)
+	s := New(2, set)
 	l := mem.Line(9)
 
 	s.Coalesce(0, l) // first touch of the line: no panic, wts 0 -> 1
 	if got := s.WTS(l); got != 1 {
 		t.Fatalf("wts after coalesce on a fresh line = %d, want 1", got)
 	}
-	s.Read(1, l) // lease frontier to 1+DefaultLease
+	s.Read(1, l) // lease frontier to 1+Lease
 	frontier := s.RTS(l)
 	s.Coalesce(0, l)
 	if got, want := s.WTS(l), frontier+1; got != want {
@@ -129,13 +129,13 @@ func TestCoalesceBumpsPastLeaseFrontier(t *testing.T) {
 
 func TestStatsCounters(t *testing.T) {
 	set := stats.NewSet()
-	s := New(Config{Caches: 2, Lease: 4}, set)
+	s := New(2, set)
 	l, other := mem.Line(1), mem.Line(2)
 	s.Read(0, l)
 	if s.NeedsRenewal(0, l) {
 		t.Fatal("live lease misreported")
 	}
-	for i := 0; i < 6; i++ {
+	for i := 0; i < Lease+2; i++ {
 		s.Write(0, other)
 	}
 	if !s.NeedsRenewal(0, l) {

@@ -73,3 +73,45 @@ func TestLitmusMachineAllocBytes(t *testing.T) {
 		t.Errorf("New+Start+Advance of sb allocates %d B, want <= %d", run, runMax)
 	}
 }
+
+// TestRosterRunAllocBytes gates what one Table I TSOPER run allocates for
+// radix, fft and ocean_cp at scale 0.05, seed 1001: the benchmark jobs of
+// the service smoke mix. Each fact has one index: a cache finds a line by
+// scanning its set, a line's newest version is the tail of its store log,
+// a group ID indexes the journal, and the AGB counts buffered versions per
+// line. On Go 1.24.0 the runs allocate about 1.36 / 0.82 / 0.81 MB, and
+// 1.87 / 1.23 / 1.30 MB with shadow maps beside those four; each bound
+// sits near the midpoint, so the gate fails with the shadow maps and
+// leaves room for another Go release's allocation sizes. Like the litmus
+// gate, the bounds depend on the Go runtime, not on the host's speed.
+func TestRosterRunAllocBytes(t *testing.T) {
+	bounds := []struct {
+		bench string
+		max   uint64
+	}{
+		{"radix", 1_580_000},
+		{"fft", 1_000_000},
+		{"ocean_cp", 1_040_000},
+	}
+	cfg := machine.TableI(machine.TSOPER)
+	for _, b := range bounds {
+		p, ok := trace.ByName(b.bench)
+		if !ok {
+			t.Fatalf("benchmark %s missing", b.bench)
+		}
+		w := trace.Generate(p.Scale(0.05), cfg.Cores, 1001)
+		got := bytesPerRun(10, func() {
+			m, err := machine.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.RunChecked(w); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %d B per run", b.bench, got)
+		if got > b.max {
+			t.Errorf("%s: one run allocates %d B, want <= %d", b.bench, got, b.max)
+		}
+	}
+}

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/agb"
 	"repro/internal/cache"
-	"repro/internal/coherence/tardis"
 	"repro/internal/faultplan"
 	"repro/internal/noc"
 	"repro/internal/nvm"
@@ -38,7 +37,6 @@ import (
 type canonicalConfig struct {
 	System             string          `json:"system"`
 	Coherence          string          `json:"coherence"`
-	TardisLease        uint64          `json:"tardis_lease,omitempty"`
 	Cores              int             `json:"cores"`
 	StoreBufferEntries int             `json:"store_buffer_entries"`
 	PrivGeom           cache.Geometry  `json:"priv_geom"`
@@ -70,14 +68,6 @@ func (c Config) Canonical() (Config, error) {
 	c.Telemetry = nil
 	c.Probe = nil
 	c.WatchdogHorizon = 0
-	// TardisLease only means anything under the tardis backend: clear it
-	// elsewhere, fill the default under tardis, so configs that differ only
-	// in an inert lease hash identically and slc/mesi hashes are unchanged.
-	if c.Coherence != CoherenceTardis {
-		c.TardisLease = 0
-	} else if c.TardisLease == 0 {
-		c.TardisLease = tardis.DefaultLease
-	}
 	if c.NoC == (noc.Config{}) {
 		c.NoC = noc.DefaultConfig()
 	}
@@ -106,7 +96,6 @@ func (c Config) CanonicalJSON() ([]byte, error) {
 	return json.Marshal(canonicalConfig{
 		System:             cc.System.String(),
 		Coherence:          cc.Coherence.String(),
-		TardisLease:        cc.TardisLease,
 		Cores:              cc.Cores,
 		StoreBufferEntries: cc.StoreBufferEntries,
 		PrivGeom:           cc.PrivGeom,

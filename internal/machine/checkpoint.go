@@ -177,7 +177,6 @@ func (m *Machine) encodeState() []byte {
 	}
 
 	w.Section("machine")
-	encodeVersionMap(w, m.current)
 	lines := make([]uint64, 0, len(m.lineOrder))
 	for l := range m.lineOrder {
 		lines = append(lines, uint64(l))
@@ -326,15 +325,6 @@ func (m *Machine) encodeSystemState(w *ckpt.Writer) {
 		w.Bool(s.drainDone != nil)
 		w.Int(s.stallRefs)
 		w.U32(uint32(len(s.stallWaiters)))
-		ids := make([]uint64, 0, len(s.groups))
-		for id := range s.groups {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		w.U32(uint32(len(ids)))
-		for _, id := range ids {
-			w.U64(id)
-		}
 		w.U32(uint32(len(s.trackers)))
 		for _, tr := range s.trackers {
 			tr.EncodeState(w)

@@ -132,9 +132,6 @@ type Config struct {
 	System SystemKind
 	// Coherence selects the protocol backend (default SLC).
 	Coherence CoherenceKind
-	// TardisLease is the logical read-lease length under CoherenceTardis
-	// (0 picks tardis.DefaultLease); ignored by the other backends.
-	TardisLease uint64
 	// Scheduler selects the engine's event-queue implementation (default
 	// the timing wheel; the heap is the differential-testing reference).
 	Scheduler sim.SchedulerKind

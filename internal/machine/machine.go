@@ -44,10 +44,6 @@ type Machine struct {
 	// evbufWaiters are fills blocked on a full eviction buffer, per cache.
 	evbufWaiters [][]func()
 
-	// current is the newest coherent version of each line (what a reader
-	// observes); lineOrder is the full directory-serialized version order.
-	current map[mem.Line]mem.Version
-
 	// vnScratch is the invalidation walk's reusable valid-node snapshot
 	// (only writeTxn.dir iterates it, and directory stages never nest).
 	vnScratch []*slc.Node
@@ -59,8 +55,9 @@ type Machine struct {
 	invalWalks      *stats.Dist
 
 	// lineOrder records the coherence (directory) serialization of store
-	// versions per line, consumed by the crash-consistency checker. verSlab
-	// backs the logs' initial capacity (recordStore).
+	// versions per line, consumed by the crash-consistency checker; a log's
+	// last entry is the line's newest coherent version (what a reader
+	// observes). verSlab backs the logs' initial capacity (recordStore).
 	lineOrder map[mem.Line][]mem.Version
 	verSlab   []mem.Version
 
@@ -143,7 +140,7 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m.evbufWaiters = make([][]func(), cfg.Cores)
 	if cfg.Coherence == CoherenceTardis {
-		m.tardis = tardis.New(tardis.Config{Caches: cfg.Cores, Lease: cfg.TardisLease}, m.set)
+		m.tardis = tardis.New(cfg.Cores, m.set)
 	}
 	m.instrumentComponents()
 	m.initFaults()
@@ -248,7 +245,6 @@ const (
 // a litmus test's few ops get a few KB.
 func (m *Machine) reserve(n int) {
 	m.lineOrder = make(map[mem.Line][]mem.Version, min(lineHintCap, n))
-	m.current = make(map[mem.Line]mem.Version, min(lineHintCap, n))
 	m.verSlab = make([]mem.Version, min(verChunk, n)*verLogCap)
 	m.llc.Reserve(n)
 	for _, pc := range m.priv {

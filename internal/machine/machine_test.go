@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/mem"
 	"repro/internal/trace"
 )
 
@@ -190,7 +189,9 @@ func TestSystemKindStrings(t *testing.T) {
 }
 
 // Version coherence sanity: after a fully drained TSOPER run, every line's
-// durable version matches the machine's current version map.
+// durable version is its newest coherent version, the last entry of its
+// store log. The group journal holds each group at index ID-1, which the
+// system's group lookup relies on.
 func TestDurableMatchesCurrent(t *testing.T) {
 	cfg := TableI(TSOPER)
 	m, err := New(cfg)
@@ -199,10 +200,17 @@ func TestDurableMatchesCurrent(t *testing.T) {
 	}
 	w := trace.Generate(smallProfile(150), cfg.Cores, 13)
 	r := m.Run(w)
-	for line, ver := range m.current {
-		if got := r.Durable[line]; got != ver {
-			t.Fatalf("line %v durable %v, current %v", line, got, ver)
+	if len(r.LineOrder) == 0 || len(m.journal) == 0 {
+		t.Fatalf("run stored to %d lines in %d groups; the checks below need both", len(r.LineOrder), len(m.journal))
+	}
+	for line, vs := range r.LineOrder {
+		if got, want := r.Durable[line], vs[len(vs)-1]; got != want {
+			t.Fatalf("line %v durable %v, newest %v", line, got, want)
 		}
 	}
-	_ = mem.Line(0)
+	for i, g := range m.journal {
+		if g.ID != uint64(i+1) {
+			t.Fatalf("journal[%d] holds group %d, want ID %d", i, g.ID, i+1)
+		}
+	}
 }

@@ -28,10 +28,9 @@ func (m *Machine) nodeOf(cacheID int, line mem.Line) *slc.Node {
 func (m *Machine) load(c *coreUnit, line mem.Line, done func()) {
 	node := m.nodeOf(c.id, line)
 	if node != nil && node.Valid {
-		// Private hit (cache frame or eviction buffer, same latency).
-		if pc := m.priv[c.id]; pc.arr.Peek(line) != nil {
-			pc.arr.Lookup(line) // LRU touch
-		}
+		// Private hit (cache frame or eviction buffer, same latency); a
+		// frame's recency is touched.
+		m.priv[c.id].arr.Lookup(line)
 		if m.tardis != nil && !node.Dirty && m.tardis.NeedsRenewal(c.id, line) {
 			// Tardis lease expiry: the clean copy is valid but logically
 			// stale — a renewal round trip to the home bank re-extends the
@@ -67,9 +66,9 @@ func (m *Machine) store(c *coreUnit, line mem.Line, ver mem.Version, done func()
 	m.sys.gateStore(c, line, t.attemptFn)
 }
 
-// recordStore logs the directory-serialized version order per line (the
-// coherence order the crash checker validates against) and the current
-// coherent version.
+// recordStore logs the directory-serialized version order per line: the
+// coherence order the crash checker validates against, whose last entry is
+// the line's newest coherent version.
 func (m *Machine) recordStore(line mem.Line, ver mem.Version) {
 	s, ok := m.lineOrder[line]
 	if !ok {
@@ -84,7 +83,6 @@ func (m *Machine) recordStore(line mem.Line, ver mem.Version) {
 		m.verSlab = m.verSlab[verLogCap:]
 	}
 	m.lineOrder[line] = append(s, ver)
-	m.current[line] = ver
 }
 
 // llcFill installs or refreshes a line in the LLC. The directory lives with

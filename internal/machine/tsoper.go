@@ -18,7 +18,6 @@ type tsoperSys struct {
 	m        *Machine
 	stw      bool
 	trackers []*core.Tracker
-	groups   map[uint64]*core.Group
 
 	// liveCount tracks not-yet-durable groups for the end-of-run drain.
 	liveCount int
@@ -43,14 +42,12 @@ func newTSOPERSys(m *Machine) *tsoperSys {
 	s := &tsoperSys{
 		m:      m,
 		stw:    m.cfg.System == STW,
-		groups: make(map[uint64]*core.Group),
 		agSize: &statsDistProxy{m: m, name: "ag.size"},
 	}
 	ids := core.NewIDSource()
 	for i := 0; i < m.cfg.Cores; i++ {
 		tr := core.NewTracker(i, ids)
 		tr.OnOpen = func(g *core.Group) {
-			s.groups[g.ID] = g
 			s.m.journal = append(s.m.journal, g)
 			s.liveCount++
 			s.m.agBegin(g, agPhaseOpen)
@@ -59,6 +56,15 @@ func newTSOPERSys(m *Machine) *tsoperSys {
 		s.trackers = append(s.trackers, tr)
 	}
 	return s
+}
+
+// group resolves an AG ID through the journal: IDs count from 1 in the
+// order OnOpen appends groups to it, and 0 means "no group" (nil).
+func (s *tsoperSys) group(id uint64) *core.Group {
+	if id == 0 {
+		return nil
+	}
+	return s.m.journal[id-1]
 }
 
 // destructive: persistent lines use the non-destructive sharing-list
@@ -84,8 +90,8 @@ func (s *tsoperSys) gateStore(c *coreUnit, line mem.Line, proceed func()) {
 		s.stallWaiters = append(s.stallWaiters, func() { s.gateStore(c, line, proceed) })
 		return
 	}
-	if node := s.m.nodeOf(c.id, line); node != nil && node.Dirty && node.AGID != 0 {
-		if g := s.groups[node.AGID]; g != nil && g.State() != core.Open {
+	if node := s.m.nodeOf(c.id, line); node != nil && node.Dirty {
+		if g := s.group(node.AGID); g != nil && g.State() != core.Open {
 			s.m.waitLineFree(c.id, line, func() { s.gateStore(c, line, proceed) })
 			return
 		}
@@ -110,10 +116,10 @@ func (s *tsoperSys) storeCommitted(c *coreUnit, node *slc.Node, prevDirty *slc.N
 	}
 	g := s.groupFor(c.id, node.Line)
 	node.AGID = g.ID
-	if prevDirty != nil && prevDirty.AGID != 0 {
+	if prevDirty != nil {
 		// The persist-before edge source: the line's newest unpersisted
 		// predecessor on the sharing list.
-		if pg := s.groups[prevDirty.AGID]; pg != nil {
+		if pg := s.group(prevDirty.AGID); pg != nil {
 			g.DependOn(pg)
 		}
 	}
@@ -126,7 +132,7 @@ func (s *tsoperSys) loadObservedDirty(c *coreUnit, readerNode, producer *slc.Nod
 	}
 	g := s.groupFor(c.id, readerNode.Line)
 	readerNode.AGID = g.ID
-	if pg := s.groups[producer.AGID]; pg != nil {
+	if pg := s.group(producer.AGID); pg != nil {
 		g.DependOn(pg)
 	}
 	g.AddCleanRead(readerNode.Line, producer.Version, readerNode.Clear())
@@ -137,10 +143,7 @@ func (s *tsoperSys) loadObservedDirty(c *coreUnit, readerNode, producer *slc.Nod
 // owner's persist: extra delay is zero (this is OBS 3, the L1-exclusion
 // elimination).
 func (s *tsoperSys) exposed(n *slc.Node, write bool) sim.Time {
-	if n.AGID == 0 {
-		return 0
-	}
-	g := s.groups[n.AGID]
+	g := s.group(n.AGID)
 	if g == nil {
 		return 0
 	}
@@ -153,10 +156,7 @@ func (s *tsoperSys) exposed(n *slc.Node, write bool) sim.Time {
 }
 
 func (s *tsoperSys) evictedDirty(n *slc.Node) {
-	if n.AGID == 0 {
-		return
-	}
-	if g := s.groups[n.AGID]; g != nil {
+	if g := s.group(n.AGID); g != nil {
 		s.freeze(g, core.FreezeEviction)
 	}
 }
@@ -165,10 +165,7 @@ func (s *tsoperSys) evictedDirty(n *slc.Node) {
 // whose directory entry was displaced (§III-B): the entry is buffered on
 // the side until the affected cachelines persist.
 func (s *tsoperSys) dirEvicted(n *slc.Node) {
-	if n.AGID == 0 {
-		return
-	}
-	if g := s.groups[n.AGID]; g != nil {
+	if g := s.group(n.AGID); g != nil {
 		s.freeze(g, core.FreezeDirEviction)
 	}
 }

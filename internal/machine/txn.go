@@ -68,7 +68,12 @@ func (t *readTxn) dir() {
 		m.llcFill(line, vd.Version)
 		m.coherenceWrites.Inc()
 	}
-	observed := m.current[line]
+	// The reader observes the newest coherent version: the tail of the
+	// line's store log (the zero version for a line never stored).
+	var observed mem.Version
+	if vs := m.lineOrder[line]; len(vs) > 0 {
+		observed = vs[len(vs)-1]
+	}
 	t.node = lst.AddHead(c.id, true, false, observed, 0)
 	if m.tardis != nil {
 		m.tardis.Read(c.id, line)
@@ -78,7 +83,7 @@ func (t *readTxn) dir() {
 		// reader's group and record the dependency (§III-A).
 		m.sys.loadObservedDirty(c, t.node, vd)
 	}
-	m.dir.Sample(line)
+	m.dir.Sample(lst)
 
 	switch {
 	case vd != nil:
@@ -90,7 +95,7 @@ func (t *readTxn) dir() {
 		arrive := m.net.Send(t.bnode, t.src, nil)
 		t.finish(arrive + t.extra)
 	default:
-		if _, inAGB := m.buffer.Lookup(line); inAGB {
+		if m.buffer.Buffered(line) {
 			// AGB search under the LLC-miss shadow (§II-B): the line
 			// was evicted from the LLC but a newer version still sits
 			// in the persist buffer; serve it at buffer latency.
@@ -255,7 +260,7 @@ func (t *writeTxn) dir() {
 		m.tardis.Write(c.id, line)
 	}
 	m.sys.storeCommitted(c, t.node, vd)
-	m.dir.Sample(line)
+	m.dir.Sample(lst)
 
 	switch {
 	case !needData:

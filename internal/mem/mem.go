@@ -93,20 +93,3 @@ type Op struct {
 	// Arg carries the compute length for OpCompute and a sync id for OpSync.
 	Arg uint32
 }
-
-// Access classifies coherence request types at the cache level.
-type Access uint8
-
-const (
-	// AccessRead asks for a readable copy (GetS).
-	AccessRead Access = iota
-	// AccessWrite asks for an exclusive writable copy (GetX).
-	AccessWrite
-)
-
-func (a Access) String() string {
-	if a == AccessRead {
-		return "GetS"
-	}
-	return "GetX"
-}

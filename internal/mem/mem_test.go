@@ -69,12 +69,6 @@ func TestOpKindStrings(t *testing.T) {
 	}
 }
 
-func TestAccessStrings(t *testing.T) {
-	if AccessRead.String() != "GetS" || AccessWrite.String() != "GetX" {
-		t.Fatalf("access strings: %q %q", AccessRead, AccessWrite)
-	}
-}
-
 func TestLineString(t *testing.T) {
 	if Line(0x10).String() != "L0x10" {
 		t.Fatalf("Line string: %q", Line(0x10).String())
